@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -267,8 +268,8 @@ def cmd_certify(args, command) -> int:
     if not 0.5 < est.value <= 1.0:
         print(f"data error: ASP {est.value} outside (1/2, 1]", file=sys.stderr)
         return EXIT_DATA
-    if est.sigma < 0.0:
-        print("data error: sigma must be nonnegative", file=sys.stderr)
+    if not (math.isfinite(est.sigma) and est.sigma >= 0.0):
+        print("data error: sigma must be finite and nonnegative", file=sys.stderr)
         return EXIT_DATA
 
     report = full_certificate(est, d)

@@ -67,9 +67,5 @@ class AllArmsBlocked(MubCertError):
     """Every arm transmissivity is zero; no state can be prepared."""
 
 
-class StabilizationFailed(MubCertError):
-    """Phase stabilization loop hit its iteration cap below threshold."""
-
-
 class ConfigError(MubCertError):
     """Interferometer configuration failed validation."""

@@ -10,7 +10,6 @@ effect operator norms, and the maximal overlap of effect square roots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,22 +242,6 @@ def mub_pair_from_dict(doc: dict) -> MubPair:
         second=measurement_from_dict(doc["second"]),
         construction=doc.get("construction", CONSTRUCTION_CUSTOM),
     )
-
-
-def measurement_to_json(meas: Measurement) -> str:
-    return json.dumps(measurement_to_dict(meas), indent=2)
-
-
-def measurement_from_json(text: str) -> Measurement:
-    return measurement_from_dict(json.loads(text))
-
-
-def mub_pair_to_json(pair: MubPair) -> str:
-    return json.dumps(mub_pair_to_dict(pair), indent=2)
-
-
-def mub_pair_from_json(text: str) -> MubPair:
-    return mub_pair_from_dict(json.loads(text))
 
 
 def depolarized_pair(pair: MubPair, visibility: float) -> MubPair:

@@ -1,34 +1,30 @@
 """Monte Carlo model of the four-arm multi-core-fiber interferometer.
 
-The preparation side launches weak coherent pulses into a balanced
-four-port splitter, then shapes the path-encoded ququart with per-arm
+The preparation side shapes a path-encoded ququart with per-arm
 transmissivities and phases; the measurement side applies per-arm phases
-and a second splitter, and a click in output path k is outcome k.  The
-applied preparation phase in arm k decomposes as
-
-    phi_A = phi_noise + phi_control + phi_state
-
-where the control term is set by a slow stabilization loop and the state
-term switches at the pulse rate.  The source emits Poissonian photon
-numbers (mean ``mu`` per pulse), detectors register each photon
-independently with a fixed efficiency, and optional dark counts fire per
-gate.  Everything is deterministic given the master seed.
+and a balanced four-port splitter, and a click in output path k is
+outcome k.  The protocol runs on the Hadamard MUB pair: every pulse
+carries one of the pair's optimal QRAC encodings, measured in the basis
+that Bob's input selects, with phase noise added to the preparation
+phases.  The source emits Poissonian photon numbers (mean ``mu`` per
+pulse), detectors register each photon independently with a fixed
+efficiency, and optional dark counts fire per gate.  Gaussian drift has
+closed-form fringe visibility and ASP, so it is calibrated to a target
+visibility exactly; only the random walk is estimated by Monte Carlo.
+Everything is deterministic given the master seed.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .counts import CountsTable
-from .errors import (
-    AllArmsBlocked,
-    ConfigError,
-    DimensionMismatch,
-    StabilizationFailed,
-)
+from .errors import AllArmsBlocked, ConfigError, DimensionMismatch
 from .mub import HADAMARD4, hadamard_mub_pair_d4
 from .qrac import optimal_states
 
@@ -39,6 +35,16 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 # substream of the master seed, so partial results merge identically
 # regardless of processing order.
 BLOCK_ROUNDS = 1 << 18
+
+# The random walk has no closed form: its fringe is averaged over
+# SAMPLES_PER_STEP walk samples at each of N_PHASE_STEPS scan phases, and
+# its sigma is bisected on [SIGMA_LO, SIGMA_HI] until the mean visibility
+# is within VISIBILITY_TOL of the target.
+N_PHASE_STEPS = 64
+SAMPLES_PER_STEP = 1024
+SIGMA_LO = 1e-4
+SIGMA_HI = 1.0
+VISIBILITY_TOL = 5e-5
 
 
 @dataclass
@@ -56,8 +62,8 @@ class PhaseNoiseConfig:
     def validate(self) -> None:
         if self.model not in NOISE_MODELS:
             raise ConfigError(f"unknown phase-noise model {self.model!r}")
-        if self.sigma < 0.0:
-            raise ConfigError("phase-noise sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ConfigError("phase-noise sigma must be finite and nonnegative")
 
 
 @dataclass
@@ -74,6 +80,10 @@ class InterferometerConfig:
     def validate(self) -> None:
         if self.d != ARMS:
             raise ConfigError(f"the interferometer model is fixed at d=4, got {self.d}")
+        numbers = (self.mu, self.det_efficiency, self.rep_rate,
+                   self.integration_time, self.dark_count_prob, *self.tau)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ConfigError("config numbers must be finite")
         if not self.mu > 0.0:
             raise ConfigError("mu must be positive")
         for name in ("det_efficiency", "dark_count_prob"):
@@ -136,31 +146,6 @@ class InterferometerConfig:
         return cfg
 
 
-@dataclass
-class PhaseState:
-    """Per-arm phases of the interferometer, all in radians.
-
-    The applied preparation phase in arm k is exactly
-    ``phi_n[k] + phi_c[k] + phi_s[k]``.
-    """
-
-    phi_n: np.ndarray = field(default_factory=lambda: np.zeros(ARMS))
-    phi_c: np.ndarray = field(default_factory=lambda: np.zeros(ARMS))
-    phi_s: np.ndarray = field(default_factory=lambda: np.zeros(ARMS))
-    phi_b: np.ndarray = field(default_factory=lambda: np.zeros(ARMS))
-
-    def applied_preparation_phase(self) -> np.ndarray:
-        return np.asarray(self.phi_n) + np.asarray(self.phi_c) + np.asarray(self.phi_s)
-
-
-def mbs_matrix() -> np.ndarray:
-    """Transfer matrix of the balanced four-port splitter (Hadamard over 2).
-
-    Real, symmetric, self-inverse; identical to the first analysis basis.
-    """
-    return HADAMARD4.copy()
-
-
 def prepare_state(tau, phi_a) -> np.ndarray:
     """Path-encoded ququart ``sum_k tau_k exp(i phi_k) |k>``, normalized."""
     t = np.asarray(tau, dtype=float)
@@ -188,11 +173,6 @@ def measurement_unitary(phi_b) -> np.ndarray:
     return HADAMARD4.astype(complex) @ np.diag(np.exp(-1j * phi))
 
 
-def analysis_kets(phi_b) -> np.ndarray:
-    """Kets of the analysis basis, one per output path (rows)."""
-    return measurement_unitary(phi_b).conj()
-
-
 def detection_probabilities(state, phi_b) -> np.ndarray:
     """Click probabilities per output path for a normalized input state."""
     psi = np.asarray(state, dtype=complex)
@@ -200,34 +180,6 @@ def detection_probabilities(state, phi_b) -> np.ndarray:
         raise DimensionMismatch("state must have 4 entries")
     amps = measurement_unitary(phi_b) @ psi
     return np.abs(amps) ** 2
-
-
-def settings_for_state(target) -> tuple[np.ndarray, np.ndarray]:
-    """Transmissivities and state phases that prepare ``target``.
-
-    ``tau`` is the amplitude profile scaled so its maximum is 1; phases
-    are the component arguments (zero on blocked arms).  Preparing with
-    these settings reproduces the target up to a global phase.
-    """
-    t = np.asarray(target, dtype=complex)
-    if t.shape != (ARMS,):
-        raise DimensionMismatch("target must have 4 entries")
-    amp = np.abs(t)
-    peak = amp.max()
-    if peak == 0.0:
-        raise AllArmsBlocked("target state is the zero vector")
-    tau = amp / peak
-    phi = np.where(amp > 1e-12, np.angle(t), 0.0)
-    return tau, phi
-
-
-def measurement_phase_for_input(y: int) -> np.ndarray:
-    """Measurement-side phases selecting the basis for input y in {1, 2}."""
-    if y == 1:
-        return np.zeros(ARMS)
-    if y == 2:
-        return np.array([math.pi, 0.0, 0.0, 0.0])
-    raise ValueError(f"y must be 1 or 2, got {y}")
 
 
 def sample_source(mu: float, rng: np.random.Generator, size=None):
@@ -239,37 +191,29 @@ def sample_source(mu: float, rng: np.random.Generator, size=None):
 
 # -- protocol tables ----------------------------------------------------------
 
-def _encoding_settings():
-    """Preparation settings and analysis matrices for the 16 protocol states.
+@functools.lru_cache(maxsize=None)
+def _protocol_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Preparation kets and analysis bras of the protocol (read-only).
 
-    Returns (tau, phi, norm, units): tau/phi of shape (16, 4) indexed by
-    ``ij = 4*i + j``, the per-state normalization sqrt(sum tau^2), and the
-    two analysis unitaries stacked as (2, 4, 4).
+    Returns (states, bras).  ``states[i*d + j]`` is the optimal encoding
+    ket for input dits (i, j), shape (d*d, d); ``bras[y]`` holds the bras
+    of the basis measured for input y+1 as rows, shape (2, d, d), so
+    outcome b has probability ``|bras[y, b] @ state|^2``.
     """
     pair = hadamard_mub_pair_d4()
-    enc = optimal_states(pair)
-    tau = np.empty((16, ARMS))
-    phi = np.empty((16, ARMS))
-    for i in range(4):
-        for j in range(4):
-            tau[4 * i + j], phi[4 * i + j] = settings_for_state(enc.states[i, j])
-    norm = np.sqrt(np.sum(tau * tau, axis=1))
-    units = np.stack([
-        measurement_unitary(measurement_phase_for_input(1)),
-        measurement_unitary(measurement_phase_for_input(2)),
-    ])
-    return tau, phi, norm, units
+    d = pair.dim
+    states = optimal_states(pair).states.reshape(d * d, d)
+    bras = np.stack([pair.first.basis_vectors().conj(),
+                     pair.second.basis_vectors().conj()])
+    states.flags.writeable = False
+    bras.flags.writeable = False
+    return states, bras
 
 
 def expected_outcome_probabilities() -> np.ndarray:
-    """Noiseless click probabilities, shape (16, 2, 4) indexed by (ij, y-1, b-1)."""
-    tau, phi, _, _ = _encoding_settings()
-    probs = np.empty((16, 2, ARMS))
-    for s in range(16):
-        state = prepare_state(tau[s], phi[s])
-        for y in (1, 2):
-            probs[s, y - 1] = detection_probabilities(state, measurement_phase_for_input(y))
-    return probs
+    """Noiseless click probabilities, shape (d*d, 2, d) indexed by (ij, y-1, b-1)."""
+    states, bras = _protocol_tables()
+    return np.abs(np.einsum("ybk,sk->syb", bras, states)) ** 2
 
 
 def ideal_expected_counts(total: int) -> CountsTable:
@@ -279,32 +223,46 @@ def ideal_expected_counts(total: int) -> CountsTable:
     outcome probabilities (all multiples of 1/12 for the protocol states)
     map to integer counts; the estimated ASP is then exactly 3/4.
     """
-    if total < 32 * 12:
-        raise ValueError("total must be at least 384 for one detection per cell")
-    per_setting = 12 * max(1, round(total / (32 * 12)))
     probs = expected_outcome_probabilities()
-    table = CountsTable.zeros(ARMS)
-    for s in range(16):
-        i, j = divmod(s, 4)
-        for y in range(2):
-            row = np.floor(per_setting * probs[s, y] + 0.5).astype(np.int64)
-            row[np.argmax(row)] += per_setting - row.sum()  # guard exact total
-            table.cells[i, j, y] = row
-    return table
+    d = probs.shape[-1]
+    n_settings = 2 * d * d
+    if total < n_settings * 12:
+        raise ValueError(f"total must be at least {n_settings * 12} "
+                         "for one detection per cell")
+    per_setting = 12 * max(1, round(total / (n_settings * 12)))
+    rows = np.floor(per_setting * probs + 0.5).astype(np.int64)
+    s, y = np.indices(rows.shape[:2])
+    rows[s, y, rows.argmax(axis=-1)] += per_setting - rows.sum(axis=-1)  # guard exact totals
+    return CountsTable(dim=d, cells=rows.reshape(d, d, 2, d))
 
 
 # -- noise processes ----------------------------------------------------------
 
 def _draw_noise(model: str, sigma: float, n: int, rng: np.random.Generator,
                 walk_start: np.ndarray):
-    """Per-pulse noise phases of shape (n, 4) and the walk end point."""
+    """Per-pulse noise phases of shape (n, arms) and the walk end point."""
     if model == "none" or sigma == 0.0:
         return None, walk_start
-    steps = rng.normal(0.0, sigma, size=(n, ARMS))
+    steps = rng.normal(0.0, sigma, size=(n, walk_start.size))
     if model == "gaussian_drift":
         return steps, walk_start
     walk = walk_start + np.cumsum(steps, axis=0)
     return walk, walk[-1].copy()
+
+
+def _damping(noise: PhaseNoiseConfig) -> float | None:
+    """Factor by which the noise scales every two-arm interference term.
+
+    The difference of two independent N(0, sigma^2) phases is
+    N(0, 2 sigma^2), so Gaussian drift averages each cross term
+    ``exp(i(theta_k - theta_l))`` to ``exp(-sigma^2)``.  None for a
+    random walk, which has no closed form.
+    """
+    if noise.model == "none" or noise.sigma == 0.0:
+        return 1.0
+    if noise.model == "gaussian_drift":
+        return math.exp(-noise.sigma ** 2)
+    return None
 
 
 # -- the experiment loop ------------------------------------------------------
@@ -316,63 +274,47 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
     Returns (cells, walk_end).  Output depends only on the arguments, so
     blocks merge identically in any processing order.
     """
-    tau16, phi16, norm16, units = tables
+    states, bras = tables
+    d = states.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(block_index,)))
-    cells = np.zeros((4, 4, 2, 4), dtype=np.int64)
 
     # Fixed draw order: settings, photon numbers, detector thinning, noise,
-    # dark counts, then outcome uniforms.
-    settings = rng.integers(0, 32, n_rounds)
+    # dark counts, then outcome uniforms.  A setting s = 2*(i*d + j) + y
+    # encodes the input dits and the basis choice.
+    settings = rng.integers(0, 2 * d * d, n_rounds)
     n_photons = rng.poisson(config.mu, n_rounds)
     n_detected = rng.binomial(n_photons, config.det_efficiency)
     noise, walk_end = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
                                   n_rounds, rng, walk_start)
     dark = None
     if config.dark_count_prob > 0.0:
-        dark = rng.random((n_rounds, ARMS)) < config.dark_count_prob
-
-    ij_all = settings >> 1
-    y_all = settings & 1
+        dark = rng.random((n_rounds, d)) < config.dark_count_prob
 
     sel = n_detected > 0
-    if sel.any():
-        ij = ij_all[sel]
-        y = y_all[sel]
-        phases = phi16[ij]
-        if noise is not None:
-            phases = phases + noise[sel]
-        comps = tau16[ij] * np.exp(1j * phases) / norm16[ij, None]
-        probs = np.empty((comps.shape[0], ARMS))
-        for yv in (0, 1):
-            mask = y == yv
-            if mask.any():
-                amps = comps[mask] @ units[yv].T
-                probs[mask] = np.abs(amps) ** 2
-        cum = np.cumsum(probs, axis=1)
-        cum /= cum[:, -1:]
+    clicked = settings[sel]
+    ij, y = np.divmod(clicked, 2)
+    comps = states[ij]
+    if noise is not None:
+        comps = comps * np.exp(1j * noise[sel])
+    probs = np.empty(comps.shape)
+    for yv in range(2):
+        mask = y == yv
+        probs[mask] = np.abs(comps[mask] @ bras[yv].T) ** 2
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
 
-        repeats = n_detected[sel]
-        pulse_of_photon = np.repeat(np.arange(comps.shape[0]), repeats)
-        u = rng.random(pulse_of_photon.size)
-        outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
+    pulse_of_photon = np.repeat(np.arange(clicked.size), n_detected[sel])
+    u = rng.random(pulse_of_photon.size)
+    outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
 
-        i_exp = (ij >> 2)[pulse_of_photon]
-        j_exp = (ij & 3)[pulse_of_photon]
-        y_exp = y[pulse_of_photon]
-        np.add.at(cells, (i_exp, j_exp, y_exp, outcome), 1)
-
+    # Flat cell index ((i*d + j)*2 + y)*d + b = s*d + b.
+    hits = [clicked[pulse_of_photon] * d + outcome]
     if dark is not None:
-        for k in range(ARMS):
-            hits = dark[:, k]
-            if hits.any():
-                np.add.at(
-                    cells,
-                    (ij_all[hits] >> 2, ij_all[hits] & 3, y_all[hits],
-                     np.full(int(hits.sum()), k)),
-                    1,
-                )
-    return cells, walk_end
+        pulse, arm = np.nonzero(dark)
+        hits.append(settings[pulse] * d + arm)
+    cells = np.bincount(np.concatenate(hits), minlength=2 * d ** 3)
+    return cells.reshape(d, d, 2, d), walk_end
 
 
 def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
@@ -391,114 +333,56 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
         rounds = config.default_rounds()
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    tables = _encoding_settings()
-    total_cells = np.zeros((4, 4, 2, 4), dtype=np.int64)
-    walk = np.zeros(ARMS)
-    block = 0
-    done = 0
-    while done < rounds:
-        n_b = min(BLOCK_ROUNDS, rounds - done)
+    tables = _protocol_tables()
+    d = tables[0].shape[1]
+    total_cells = np.zeros((d, d, 2, d), dtype=np.int64)
+    walk = np.zeros(d)
+    for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
+        n_b = min(BLOCK_ROUNDS, rounds - start)
         cells, walk = _block_counts(config, tables, block, n_b, seed, walk)
         total_cells += cells
-        done += n_b
-        block += 1
-    return CountsTable(dim=4, cells=total_cells, seed=seed, config=config.to_dict())
+    return CountsTable(dim=d, cells=total_cells, seed=seed, config=config.to_dict())
 
 
 def noise_averaged_asp(config: InterferometerConfig, n_samples: int = 20000,
                        seed: int = 0) -> float:
     """Expected ASP under the configured phase noise (no photon sampling).
 
-    Averages the exact per-setting success probabilities over noise draws;
-    with noise off this returns 3/4 up to floating point.
+    For no noise or Gaussian drift this is exact: every cross term of the
+    success probability is damped by ``exp(-sigma^2)``, which gives
+    1/4 + exp(-sigma^2)/2 for the protocol states.  The random walk is
+    averaged over ``n_samples`` walk steps drawn from ``seed``.
     """
     config.validate()
-    tau16, phi16, norm16, units = _encoding_settings()
-    ij = np.arange(16)
-    target_row = np.empty((16, 2, ARMS), dtype=complex)
-    target_row[:, 0] = units[0][ij >> 2]  # y=1: correct outcome is i
-    target_row[:, 1] = units[1][ij & 3]   # y=2: correct outcome is j
-
-    rng = np.random.default_rng(seed)
-    noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                           n_samples, rng, np.zeros(ARMS))
-    if noise is None:
-        noise = np.zeros((1, ARMS))
-    comps = (tau16[None, :, :] / norm16[None, :, None]) * np.exp(
-        1j * (phi16[None, :, :] + noise[:, None, :])
-    )
-    success = 0.0
-    for y in range(2):
-        amps = np.einsum("sa,nsa->ns", target_row[:, y], comps)
-        success += float(np.mean(np.abs(amps) ** 2))
-    return success / 2.0
-
-
-def stabilize_phases(config: InterferometerConfig, phase_state: PhaseState,
-                     rng: np.random.Generator, threshold: float = 0.999,
-                     max_sweeps: int = 64) -> PhaseState:
-    """Slow-loop phase compensation against frozen phase noise.
-
-    With all transmissivities at 1 and the state phases at 0, the loop
-    perturbs the control phases arm by arm to maximize the click fraction
-    at the first detector, until the threshold is reached or the sweep cap
-    is hit (StabilizationFailed).  On success the residual preparation
-    phases are aligned up to a global phase.
-    """
-    config.validate()
-    phi_n = np.asarray(phase_state.phi_n, dtype=float)
-    phi_c = np.asarray(phase_state.phi_c, dtype=float).copy()
-
-    def spd1_prob(control: np.ndarray) -> float:
-        state = prepare_state(np.ones(ARMS), phi_n + control)
-        return float(detection_probabilities(state, np.zeros(ARMS))[0])
-
-    coarse = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    for _ in range(max_sweeps):
-        if spd1_prob(phi_c) >= threshold:
-            break
-        for arm in rng.permutation(ARMS):
-            base = phi_c[arm]
-            candidates = base + coarse
-            best = candidates[
-                int(np.argmax([_try_arm(spd1_prob, phi_c, arm, c) for c in candidates]))
-            ]
-            span = coarse[1]
-            for _ in range(4):  # shrink the bracket around the best offset
-                fine = best + np.linspace(-span, span, 9)
-                best = fine[
-                    int(np.argmax([_try_arm(spd1_prob, phi_c, arm, c) for c in fine]))
-                ]
-                span /= 4.0
-            phi_c[arm] = best % (2.0 * math.pi)
-    if spd1_prob(phi_c) < threshold:
-        raise StabilizationFailed(
-            f"SPD1 fraction {spd1_prob(phi_c):.6f} below {threshold} "
-            f"after {max_sweeps} sweeps"
-        )
-    return PhaseState(
-        phi_n=phi_n.copy(),
-        phi_c=phi_c,
-        phi_s=np.asarray(phase_state.phi_s, dtype=float).copy(),
-        phi_b=np.asarray(phase_state.phi_b, dtype=float).copy(),
-    )
-
-
-def _try_arm(objective, phi_c: np.ndarray, arm: int, value: float) -> float:
-    trial = phi_c.copy()
-    trial[arm] = value
-    return objective(trial)
+    states, bras = _protocol_tables()
+    d = states.shape[1]
+    i, j = np.divmod(np.arange(d * d), d)
+    # terms[y, ij, k]: arm k's share of the amplitude of the correct
+    # outcome (i for y=1, j for y=2).
+    terms = np.stack([bras[0][i], bras[1][j]]) * states
+    damping = _damping(config.phase_noise)
+    if damping is None:
+        rng = np.random.default_rng(seed)
+        noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
+                               n_samples, rng, np.zeros(d))
+        amps = np.einsum("ysk,nk->nys", terms, np.exp(1j * noise))
+        return float(np.mean(np.abs(amps) ** 2))
+    diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
+    full = np.abs(np.sum(terms, axis=-1)) ** 2
+    return float(np.mean(diagonal + damping * (full - diagonal)))
 
 
 def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int],
-                      seed: int = 0, n_phase_steps: int = 64,
-                      samples_per_step: int = 1024) -> float:
+                      seed: int = 0) -> float:
     """Two-arm interference visibility at the first detector.
 
     Scans the relative phase between the two (1-based) arms over a full
-    turn with the other arms blocked, averages the detected fringe per
-    step under the configured phase noise, and returns the modulation
-    depth (max - min)/(max + min) of a cosine least-squares fit.
+    turn with the other arms blocked.  Without noise the fringe has
+    visibility V0 = 2 tau_k tau_l / (tau_k^2 + tau_l^2); Gaussian drift
+    scales it to exactly V0 * exp(-sigma^2).  For the random walk the
+    fringe is averaged over walk samples at each scan step (drawn from
+    ``seed``) and the visibility is the modulation depth
+    (max - min)/(max + min) of a cosine least-squares fit.
     """
     config.validate()
     k, l = arm_pair
@@ -509,57 +393,61 @@ def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int],
     if norm_sq == 0.0:
         raise AllArmsBlocked("both scanned arms are blocked")
     base_vis = 2.0 * tk * tl / norm_sq
+    damping = _damping(config.phase_noise)
+    if damping is not None:
+        return base_vis * damping
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_phase_steps, endpoint=False)
-    model, sigma = config.phase_noise.model, config.phase_noise.sigma
+    thetas = np.linspace(0.0, 2.0 * math.pi, N_PHASE_STEPS, endpoint=False)
     rng = np.random.default_rng(seed)
-    if model == "none" or sigma == 0.0:
-        fringe = 0.25 * (1.0 + base_vis * np.cos(thetas))
-    else:
-        n_total = n_phase_steps * samples_per_step
-        noise, _ = _draw_noise(model, sigma, n_total, rng, np.zeros(ARMS))
-        delta = (noise[:, k - 1] - noise[:, l - 1]).reshape(
-            n_phase_steps, samples_per_step
-        )
-        fringe = np.mean(
-            0.25 * (1.0 + base_vis * np.cos(thetas[:, None] + delta)), axis=1
-        )
-
+    noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
+                           N_PHASE_STEPS * SAMPLES_PER_STEP, rng, np.zeros(ARMS))
+    delta = (noise[:, k - 1] - noise[:, l - 1]).reshape(N_PHASE_STEPS, SAMPLES_PER_STEP)
+    fringe = np.mean(0.25 * (1.0 + base_vis * np.cos(thetas[:, None] + delta)), axis=1)
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
     c0, a, b = np.linalg.lstsq(design, fringe, rcond=None)[0]
     return float(math.hypot(a, b) / c0)
 
 
-def mean_fringe_visibility(config: InterferometerConfig, seed: int = 0,
-                           **kwargs) -> float:
+def mean_fringe_visibility(config: InterferometerConfig, seed: int = 0) -> float:
     """Visibility averaged over the six arm pairs."""
-    pairs = [(k, l) for k in range(1, ARMS + 1) for l in range(k + 1, ARMS + 1)]
+    pairs = itertools.combinations(range(1, ARMS + 1), 2)
     return float(np.mean([
-        fringe_visibility(config, pair, seed=seed + idx, **kwargs)
+        fringe_visibility(config, pair, seed=seed + idx)
         for idx, pair in enumerate(pairs)
     ]))
 
 
 def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float,
-                          seed: int = 0, sigma_lo: float = 1e-4,
-                          sigma_hi: float = 1.0, tol: float = 5e-5) -> float:
+                          seed: int = 0) -> float:
     """Tune the phase-noise sigma to hit a target mean fringe visibility.
 
-    Bisects on sigma with common random numbers, so the simulated
-    visibility is a smooth decreasing function of sigma and the result is
-    deterministic for a given seed.
+    Gaussian drift scales every pair's visibility by exp(-sigma^2), so
+    sigma = sqrt(ln(V0 / V)) with V0 the noiseless mean visibility.  The
+    random walk bisects on sigma with common random numbers, so the
+    simulated visibility is a smooth decreasing function of sigma and the
+    result is deterministic for a given seed.
     """
     config.validate()
-    if config.phase_noise.model == "none":
+    model = config.phase_noise.model
+    if model == "none":
         raise ConfigError("calibration requires a phase-noise model")
     if not 0.0 < target_visibility < 1.0:
         raise ConfigError("target visibility must lie in (0, 1)")
 
     def vis_at(sig: float) -> float:
-        probe = replace(config, phase_noise=PhaseNoiseConfig(config.phase_noise.model, sig))
+        probe = replace(config, phase_noise=PhaseNoiseConfig(model, sig))
         return mean_fringe_visibility(probe, seed=seed)
 
-    lo, hi = sigma_lo, sigma_hi
+    noiseless = vis_at(0.0)
+    if target_visibility >= noiseless:
+        raise ConfigError(
+            f"target visibility {target_visibility} is not below the noiseless "
+            f"mean visibility {noiseless:.6g}"
+        )
+    if model == "gaussian_drift":
+        return math.sqrt(math.log(noiseless / target_visibility))
+
+    lo, hi = SIGMA_LO, SIGMA_HI
     if vis_at(lo) < target_visibility:
         return lo
     if vis_at(hi) > target_visibility:
@@ -569,7 +457,7 @@ def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         v = vis_at(mid)
-        if abs(v - target_visibility) <= tol:
+        if abs(v - target_visibility) <= VISIBILITY_TOL:
             return mid
         if v > target_visibility:
             lo = mid

@@ -88,6 +88,26 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({"mu": -2.0}))
         assert run(["simulate", "--config", str(cfg), "--out", "x.csv"], tmp_path) == 3
 
+    @pytest.mark.parametrize("doc", [
+        {"phase_noise": {"model": "gaussian_drift", "sigma": "nan"}},
+        {"mu": "inf"},
+    ], ids=["sigma-nan", "mu-inf"])
+    def test_non_finite_config_exits_3(self, tmp_path, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["simulate", "--config", str(cfg), "--seed", "1",
+                    "--rounds", "5000", "--out", "x.csv"], tmp_path) == 3
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unreachable_visibility_target_exits_3(self, tmp_path):
+        # tau imbalance caps the noiseless mean visibility at 0.90
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": [1, 0.5, 1, 1]}))
+        assert run(["simulate", "--config", str(cfg), "--seed", "1",
+                    "--rounds", "5000", "--visibility-target", "0.9989",
+                    "--out", "x.csv"], tmp_path) == 3
+        assert not (tmp_path / "x.csv").exists()
+
     def test_ideal_conflicts_with_visibility_target(self, tmp_path):
         assert run(["simulate", "--ideal", "--visibility-target", "0.9989"],
                    tmp_path) == 2
@@ -143,6 +163,14 @@ class TestCertifyCommand:
                    tmp_path) == 4
         assert run(["certify", "--asp", "1.2", "--sigma", "0.001", "--d", "4"],
                    tmp_path) == 4
+
+    @pytest.mark.parametrize("asp, sigma", [
+        ("0.75", "inf"), ("0.75", "nan"), ("inf", "0.001"), ("nan", "0.001"),
+    ])
+    def test_non_finite_asp_or_sigma_exits_4(self, tmp_path, asp, sigma):
+        assert run(["certify", "--asp", asp, "--sigma", sigma, "--d", "4",
+                    "--out", "c.json"], tmp_path) == 4
+        assert not (tmp_path / "c.json").exists()
 
     def test_missing_args_exit_2(self, tmp_path):
         assert run(["certify", "--asp", "0.75"], tmp_path) == 2

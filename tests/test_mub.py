@@ -14,8 +14,8 @@ from mubcert.mub import (
     hadamard_mub_pair_d4,
     is_mutually_unbiased,
     max_sqrt_overlap,
-    mub_pair_from_json,
-    mub_pair_to_json,
+    mub_pair_from_dict,
+    mub_pair_to_dict,
     norm_sum,
     overlap_entropy,
     overlap_matrix,
@@ -179,21 +179,30 @@ class TestOverlapDistribution:
         assert (overlap_matrix(d4_pair) / 4).sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def to_json(pair):
+    """The pair document as the ``mub`` command writes it."""
+    return json.dumps(mub_pair_to_dict(pair), indent=2)
+
+
+def from_json(text):
+    return mub_pair_from_dict(json.loads(text))
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, d4_pair):
-        text = mub_pair_to_json(d4_pair)
-        back = mub_pair_from_json(text)
+        text = to_json(d4_pair)
+        back = from_json(text)
         assert np.array_equal(back.first.effects, d4_pair.first.effects)
         assert np.array_equal(back.second.effects, d4_pair.second.effects)
         assert back.construction == d4_pair.construction
         # a second round trip produces identical text
-        assert mub_pair_to_json(back) == text
+        assert to_json(back) == text
 
     def test_round_trip_complex_pair(self):
         pair = fourier_mub_pair(5)
-        back = mub_pair_from_json(mub_pair_to_json(pair))
+        back = from_json(to_json(pair))
         assert np.array_equal(back.second.effects, pair.second.effects)
-        assert json.loads(mub_pair_to_json(pair))["first"]["dim"] == 5
+        assert json.loads(to_json(pair))["first"]["dim"] == 5
 
 
 class TestDepolarizedPair:

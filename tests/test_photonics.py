@@ -1,33 +1,29 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mubcert.errors import AllArmsBlocked, ConfigError, StabilizationFailed
+from mubcert.counts import write_counts_csv
+from mubcert.errors import AllArmsBlocked, ConfigError
 from mubcert.mub import HADAMARD4, hadamard_mub_pair_d4, is_mutually_unbiased, MubPair, Measurement
 from mubcert.photonics import (
     InterferometerConfig,
     PhaseNoiseConfig,
-    PhaseState,
     _block_counts,
-    _encoding_settings,
-    analysis_kets,
+    _protocol_tables,
     calibrate_drift_sigma,
     detection_probabilities,
     expected_outcome_probabilities,
     fringe_visibility,
     ideal_expected_counts,
-    mbs_matrix,
     mean_fringe_visibility,
-    measurement_phase_for_input,
     measurement_unitary,
     noise_averaged_asp,
     prepare_state,
     sample_source,
-    settings_for_state,
     simulate_counts,
-    stabilize_phases,
 )
 from mubcert.qrac import estimate_asp, optimal_states
 
@@ -42,18 +38,32 @@ def encodings(d4_pair):
     return optimal_states(d4_pair)
 
 
+# Measurement-stage phases that realise the pair's first and second basis.
+FIRST_BASIS_PHASES = (0.0, 0.0, 0.0, 0.0)
+SECOND_BASIS_PHASES = (math.pi, 0.0, 0.0, 0.0)
+
+
+def device_state(ket):
+    """Prepare ``ket`` with the device: its amplitude profile and phases."""
+    amp = np.abs(ket)
+    return prepare_state(amp / amp.max(), np.angle(ket))
+
+
 class TestMbsMatrix:
+    """The multiport beam splitter: the measurement stage at zero phases."""
+
     def test_entries(self):
-        m = mbs_matrix()
+        m = measurement_unitary(np.zeros(4))
         assert m[0, 0] == 0.5
         assert m[1, 2] == -0.5
 
     def test_self_inverse_unitary(self):
-        m = mbs_matrix()
+        m = measurement_unitary(np.zeros(4))
         assert np.allclose(m @ m.T, np.eye(4), atol=1e-15)
 
     def test_equals_first_analysis_basis(self, d4_pair):
-        assert np.allclose(mbs_matrix(), d4_pair.first.basis_vectors().T.real)
+        m = measurement_unitary(np.zeros(4))
+        assert np.allclose(m, d4_pair.first.basis_vectors().T.real)
 
 
 class TestPrepareState:
@@ -77,7 +87,7 @@ class TestPrepareState:
 
 class TestMeasurementUnitary:
     def test_zero_phases_is_splitter(self):
-        assert np.allclose(measurement_unitary(np.zeros(4)), mbs_matrix())
+        assert np.allclose(measurement_unitary(np.zeros(4)), HADAMARD4)
 
     def test_unitary_for_random_phases(self):
         rng = np.random.default_rng(8)
@@ -89,14 +99,12 @@ class TestMeasurementUnitary:
         rng = np.random.default_rng(9)
         phi = rng.uniform(0, 2 * np.pi, 4)
         u = measurement_unitary(phi)
-        kets = analysis_kets(phi)
-        # ket components carry exp(+i phi_l) on the splitter pattern
-        expected = HADAMARD4 * np.exp(1j * phi)[None, :]
-        assert np.allclose(kets, expected, atol=1e-12)
-        assert np.allclose(u, kets.conj(), atol=1e-15)
+        # bra components carry exp(-i phi_l) on the splitter pattern
+        expected = HADAMARD4 * np.exp(-1j * phi)[None, :]
+        assert np.allclose(u, expected, atol=1e-12)
 
     def test_y2_kets_are_second_basis(self, d4_pair):
-        kets = analysis_kets(measurement_phase_for_input(2))
+        kets = measurement_unitary(SECOND_BASIS_PHASES).conj()
         assert np.allclose(kets, d4_pair.second.basis_vectors(), atol=1e-12)
 
 
@@ -120,42 +128,31 @@ class TestDetectionProbabilities:
 
 
 class TestSettingsForState:
-    def test_protocol_state(self, encodings):
-        tau, phi = settings_for_state(encodings.states[0, 0])
-        assert np.allclose(tau, [0, 1, 1, 1])
-        assert np.allclose(phi, 0.0)
-
-    def test_single_path(self):
-        tau, _ = settings_for_state(np.array([1.0, 0, 0, 0]))
-        assert np.allclose(tau, [1, 0, 0, 0])
-
-    def test_round_trip_all_protocol_states(self, encodings):
-        for i in range(4):
-            for j in range(4):
-                target = encodings.states[i, j]
-                tau, phi = settings_for_state(target)
-                prepared = prepare_state(tau, phi)
-                fidelity = abs(np.vdot(target, prepared)) ** 2
-                assert fidelity == pytest.approx(1.0, abs=1e-12)
+    def test_round_trip_all_protocol_states(self):
+        # every ket the sampler uses is one the device can prepare
+        states, _ = _protocol_tables()
+        for target in states:
+            prepared = device_state(target)
+            fidelity = abs(np.vdot(target, prepared)) ** 2
+            assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMeasurementPhaseForInput:
     def test_bases_match_pair(self, d4_pair):
-        k1 = analysis_kets(measurement_phase_for_input(1))
-        k2 = analysis_kets(measurement_phase_for_input(2))
+        k1 = measurement_unitary(FIRST_BASIS_PHASES).conj()
+        k2 = measurement_unitary(SECOND_BASIS_PHASES).conj()
         assert np.allclose(k1, d4_pair.first.basis_vectors(), atol=1e-12)
         assert np.allclose(k2, d4_pair.second.basis_vectors(), atol=1e-12)
+        # the sampler's analysis bras are the ones the device realises
+        _, bras = _protocol_tables()
+        assert np.allclose(bras, [k1.conj(), k2.conj()], atol=1e-12)
 
     def test_resulting_bases_unbiased(self):
-        k1 = analysis_kets(measurement_phase_for_input(1))
-        k2 = analysis_kets(measurement_phase_for_input(2))
+        k1 = measurement_unitary(FIRST_BASIS_PHASES).conj()
+        k2 = measurement_unitary(SECOND_BASIS_PHASES).conj()
         pair = MubPair(first=Measurement.projective(k1),
                        second=Measurement.projective(k2))
         assert is_mutually_unbiased(pair, tol=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            measurement_phase_for_input(3)
 
 
 class TestSampleSource:
@@ -179,12 +176,10 @@ class TestEndToEndConsistency:
         # settings -> preparation -> detection reproduces |<basis|psi>|^2
         for i in range(4):
             for j in range(4):
-                tau, phi = settings_for_state(encodings.states[i, j])
-                state = prepare_state(tau, phi)
-                for y, meas in ((1, d4_pair.first), (2, d4_pair.second)):
-                    probs = detection_probabilities(
-                        state, measurement_phase_for_input(y)
-                    )
+                state = device_state(encodings.states[i, j])
+                for phases, meas in ((FIRST_BASIS_PHASES, d4_pair.first),
+                                     (SECOND_BASIS_PHASES, d4_pair.second)):
+                    probs = detection_probabilities(state, phases)
                     born = np.abs(meas.basis_vectors().conj() @ encodings.states[i, j]) ** 2
                     assert np.max(np.abs(probs - born)) < 1e-12
 
@@ -193,6 +188,13 @@ class TestEndToEndConsistency:
         assert probs.shape == (16, 2, 4)
         assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
         assert probs[0, 0, 0] == pytest.approx(0.75, abs=1e-12)
+        # the table agrees with the device path, row ij = 4*i + j
+        for i in range(4):
+            for j in range(4):
+                state = device_state(encodings.states[i, j])
+                for y, phases in enumerate((FIRST_BASIS_PHASES, SECOND_BASIS_PHASES)):
+                    device = detection_probabilities(state, phases)
+                    assert np.allclose(probs[4 * i + j, y], device, atol=1e-12)
 
 
 class TestIdealCounts:
@@ -230,7 +232,7 @@ class TestSimulateCounts:
             InterferometerConfig(),
             phase_noise=PhaseNoiseConfig("random_walk", 1e-3),
         )
-        tables = _encoding_settings()
+        tables = _protocol_tables()
         seed = 99
         sizes = [70000, 70000, 60000]
         starts = [np.zeros(4)]
@@ -256,6 +258,20 @@ class TestSimulateCounts:
         cfg = replace(InterferometerConfig(), mu=2.0, det_efficiency=1.0)
         est = estimate_asp(simulate_counts(cfg, rounds=100000, seed=17))
         assert abs(est.value - 0.75) < 4 * est.sigma
+
+    # sha256 of the counts CSV for 300k rounds at seed 424242; any change
+    # to the sampler's draw order or decoding changes these.
+    @pytest.mark.parametrize("noise, dark, digest", [
+        (PhaseNoiseConfig(), 0.0,
+         "e9ce8f985a42b3aa27e561c51c6e6c872b51b5eb811c64e9c89df6d18eb5cc2c"),
+        (PhaseNoiseConfig("random_walk", 1e-3), 0.01,
+         "5bf5b16627831f99f3cdac5097b4e6f45e9c9f2d80dfd9fbc76a71a1e309d946"),
+    ], ids=["default", "random-walk-dark"])
+    def test_sampler_stream_is_pinned(self, tmp_path, noise, dark, digest):
+        cfg = replace(InterferometerConfig(), phase_noise=noise, dark_count_prob=dark)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(simulate_counts(cfg, rounds=300_000, seed=424242), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_per_setting_distributions_match_born_rule(self):
         # catches any (i, j, y) decode swap inside the protocol loop
@@ -297,54 +313,6 @@ class TestNoiseMonotonicity:
         assert value == pytest.approx(0.25 + 0.5 * math.exp(-(sigma**2)), abs=2e-3)
 
 
-class TestStabilization:
-    def test_zero_noise_converges_immediately(self):
-        cfg = InterferometerConfig()
-        out = stabilize_phases(cfg, PhaseState(), np.random.default_rng(0))
-        state = prepare_state(np.ones(4), out.applied_preparation_phase())
-        assert detection_probabilities(state, np.zeros(4))[0] == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_frozen_noise(self, seed):
-        rng = np.random.default_rng(seed)
-        ps = PhaseState(phi_n=rng.uniform(0, 2 * np.pi, 4))
-        out = stabilize_phases(InterferometerConfig(), ps, rng)
-        state = prepare_state(np.ones(4), out.phi_n + out.phi_c)
-        assert detection_probabilities(state, np.zeros(4))[0] >= 0.999
-
-    def test_residual_phases_aligned(self):
-        rng = np.random.default_rng(6)
-        ps = PhaseState(phi_n=rng.uniform(0, 2 * np.pi, 4))
-        out = stabilize_phases(InterferometerConfig(), ps, rng)
-        resid = (out.phi_n + out.phi_c) % (2 * np.pi)
-        resid -= resid[0]  # global phase free
-        resid = np.minimum(np.abs(resid), 2 * np.pi - np.abs(resid))
-        assert np.max(resid) < 0.1
-
-    def test_recovers_protocol_after_stabilization(self, encodings):
-        # residual control error keeps the expected ASP at the optimum
-        rng = np.random.default_rng(14)
-        ps = PhaseState(phi_n=rng.uniform(0, 2 * np.pi, 4))
-        out = stabilize_phases(InterferometerConfig(), ps, rng)
-        residual = out.phi_n + out.phi_c
-        success = 0.0
-        for i in range(4):
-            for j in range(4):
-                tau, phi = settings_for_state(encodings.states[i, j])
-                state = prepare_state(tau, phi + residual)
-                for y, target in ((1, i), (2, j)):
-                    probs = detection_probabilities(state, measurement_phase_for_input(y))
-                    success += probs[target]
-        assert success / 32 == pytest.approx(0.75, abs=1e-3)
-
-    def test_failure_is_reported(self):
-        rng = np.random.default_rng(3)
-        ps = PhaseState(phi_n=rng.uniform(0, 2 * np.pi, 4))
-        with pytest.raises(StabilizationFailed):
-            stabilize_phases(InterferometerConfig(), ps, rng, threshold=0.999,
-                             max_sweeps=0)
-
-
 class TestFringeVisibility:
     def test_perfect_interference(self):
         cfg = InterferometerConfig()
@@ -377,6 +345,27 @@ class TestFringeVisibility:
         with pytest.raises(ValueError):
             fringe_visibility(InterferometerConfig(), (2, 2), seed=0)
 
+    def test_gaussian_drift_matches_two_arm_monte_carlo(self):
+        # arms 1 and 3 open with unequal transmissivities, iid Gaussian
+        # phases on every arm; the first detector sees the fringe
+        sigma = 0.5
+        tau = np.array([1.0, 0.0, 0.6, 0.0])
+        noise = np.random.default_rng(2024).normal(0.0, sigma, size=(200_000, 4))
+        fringe = []
+        for theta in (0.0, math.pi):  # fringe maximum and minimum
+            comps = tau * np.exp(1j * (noise + [theta, 0.0, 0.0, 0.0]))
+            amps = comps @ HADAMARD4[0] / np.linalg.norm(tau)
+            fringe.append(np.mean(np.abs(amps) ** 2))
+        v_mc = (fringe[0] - fringe[1]) / (fringe[0] + fringe[1])
+        cfg = replace(
+            InterferometerConfig(),
+            tau=tuple(tau),
+            phase_noise=PhaseNoiseConfig("gaussian_drift", sigma),
+        )
+        v = fringe_visibility(cfg, (1, 3))
+        assert v == pytest.approx(v_mc, abs=5e-3)
+        assert v < 2 * 0.6 / 1.36 - 0.1  # well below the noiseless V0
+
 
 class TestCalibration:
     def test_hits_target_visibility(self):
@@ -389,13 +378,38 @@ class TestCalibration:
         assert mean_fringe_visibility(calibrated, seed=20) == pytest.approx(
             0.9989, abs=5e-4
         )
-        # analytic relation for iid Gaussian noise: V = exp(-sigma^2);
-        # a 1e-4 visibility estimator bias maps to ~2e-3 in sigma
+        # analytic relation for iid Gaussian noise: V = exp(-sigma^2)
         assert sigma == pytest.approx(math.sqrt(-math.log(0.9989)), abs=5e-3)
 
     def test_requires_noise_model(self):
         with pytest.raises(ConfigError):
             calibrate_drift_sigma(InterferometerConfig(), 0.9989, seed=0)
+
+    def test_gaussian_drift_is_closed_form(self):
+        # V = V0_mean * exp(-sigma^2) with V0_mean over the six arm pairs
+        cfg = replace(
+            InterferometerConfig(),
+            tau=(1.0, 0.9, 1.0, 0.8),
+            phase_noise=PhaseNoiseConfig("gaussian_drift", 0.0),
+        )
+        v0 = mean_fringe_visibility(replace(cfg, phase_noise=PhaseNoiseConfig()))
+        sigma = calibrate_drift_sigma(cfg, 0.95)
+        assert sigma == pytest.approx(math.sqrt(math.log(v0 / 0.95)), rel=1e-12)
+        calibrated = replace(cfg, phase_noise=PhaseNoiseConfig("gaussian_drift", sigma))
+        assert mean_fringe_visibility(calibrated) == pytest.approx(0.95, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["gaussian_drift", "random_walk"])
+    def test_rejects_target_not_below_noiseless_visibility(self, model):
+        cfg = replace(
+            InterferometerConfig(),
+            tau=(1.0, 0.5, 1.0, 1.0),
+            phase_noise=PhaseNoiseConfig(model, 0.0),
+        )
+        v0 = mean_fringe_visibility(replace(cfg, phase_noise=PhaseNoiseConfig()))
+        assert v0 < 0.9989
+        for target in (0.9989, v0):
+            with pytest.raises(ConfigError):
+                calibrate_drift_sigma(cfg, target, seed=0)
 
 
 class TestConfig:
@@ -423,6 +437,20 @@ class TestConfig:
             InterferometerConfig.from_dict({"tau": [1.0, 1.0]})
         with pytest.raises(ConfigError):
             InterferometerConfig.from_dict({"d": 5})
+
+    @pytest.mark.parametrize("doc", [
+        {"mu": "inf"},
+        {"mu": "nan"},
+        {"rep_rate": "inf"},
+        {"integration_time": "nan"},
+        {"tau": [1.0, "nan", 1.0, 1.0]},
+        {"phase_noise": {"model": "gaussian_drift", "sigma": "nan"}},
+        {"phase_noise": {"model": "random_walk", "sigma": "inf"}},
+    ], ids=["mu-inf", "mu-nan", "rep_rate-inf", "integration_time-nan", "tau-nan",
+            "drift-sigma-nan", "walk-sigma-inf"])
+    def test_rejects_non_finite_values(self, doc):
+        with pytest.raises(ConfigError):
+            InterferometerConfig.from_dict(doc)
 
     def test_default_rounds(self):
         assert InterferometerConfig().default_rounds() == 2_000_000
