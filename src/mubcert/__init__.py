@@ -1,105 +1,27 @@
-"""Self-testing certification of mutually unbiased bases from QRAC statistics."""
+"""Self-testing certification of mutually unbiased bases from QRAC statistics.
+
+The package namespace holds the names of the README's library example;
+everything else is imported from its module (``mubcert.certify``,
+``mubcert.counts``, ``mubcert.linalg``, ``mubcert.mub``,
+``mubcert.photonics``, ``mubcert.qrac``).
+"""
 
 __version__ = "0.1.0"
 
-from .certify import (
-    CertificateReport,
-    bound_entropic,
-    bound_incompatibility,
-    bound_max_sqrt_overlap,
-    bound_norm_sum,
-    bound_overlap_entropy,
-    full_certificate,
-    min_asp_for_nontrivial_eta,
-    mub_incompat_value,
-    norm_sum_threshold,
-    propagate_error,
-)
-from .counts import CountsTable, read_counts_csv, write_counts_csv
-from .linalg import eig_hermitian, operator_norm, psd_sqrt, validate_povm
-from .mub import (
-    Measurement,
-    MubPair,
-    fourier_mub_pair,
-    hadamard_mub_pair_d4,
-    is_mutually_unbiased,
-    max_sqrt_overlap,
-    norm_sum,
-    overlap_entropy,
-)
-from .photonics import (
-    InterferometerConfig,
-    PhaseNoiseConfig,
-    calibrate_drift_sigma,
-    detection_probabilities,
-    expected_outcome_probabilities,
-    fringe_visibility,
-    ideal_expected_counts,
-    mean_fringe_visibility,
-    measurement_unitary,
-    noise_averaged_asp,
-    prepare_state,
-    sample_source,
-    simulate_counts,
-)
-from .qrac import (
-    AspEstimate,
-    EncodingTable,
-    asp,
-    asp_from_density,
-    brute_force_optimal_asp,
-    estimate_asp,
-    optimal_states,
-    quantum_optimum,
-)
+from .certify import full_certificate
+from .mub import hadamard_mub_pair_d4, max_sqrt_overlap, norm_sum, overlap_entropy
+from .photonics import InterferometerConfig, simulate_counts
+from .qrac import brute_force_optimal_asp, estimate_asp
 
 __all__ = [
     "__version__",
-    "AspEstimate",
-    "CertificateReport",
-    "CountsTable",
-    "EncodingTable",
     "InterferometerConfig",
-    "Measurement",
-    "MubPair",
-    "PhaseNoiseConfig",
-    "asp",
-    "asp_from_density",
-    "bound_entropic",
-    "bound_incompatibility",
-    "bound_max_sqrt_overlap",
-    "bound_norm_sum",
-    "bound_overlap_entropy",
     "brute_force_optimal_asp",
-    "calibrate_drift_sigma",
-    "detection_probabilities",
-    "eig_hermitian",
     "estimate_asp",
-    "expected_outcome_probabilities",
-    "fourier_mub_pair",
-    "fringe_visibility",
     "full_certificate",
     "hadamard_mub_pair_d4",
-    "ideal_expected_counts",
-    "is_mutually_unbiased",
     "max_sqrt_overlap",
-    "mean_fringe_visibility",
-    "measurement_unitary",
-    "min_asp_for_nontrivial_eta",
-    "mub_incompat_value",
-    "noise_averaged_asp",
     "norm_sum",
-    "norm_sum_threshold",
-    "operator_norm",
-    "optimal_states",
     "overlap_entropy",
-    "prepare_state",
-    "propagate_error",
-    "psd_sqrt",
-    "quantum_optimum",
-    "read_counts_csv",
-    "sample_source",
     "simulate_counts",
-    "validate_povm",
-    "write_counts_csv",
 ]

@@ -18,7 +18,7 @@ modeling the devices:
 
 At the quantum optimum every bound reaches its exact MUB value.  All
 entropies are in bits.  Uncertainties are first-order Gaussian (delta
-method) with finite differences.
+method), using each bound's closed-form slope in p.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from .errors import (
 )
 from .qrac import AspEstimate, quantum_optimum
 
-# Bisection / finite-difference controls.
 _BISECT_TOL = 1e-10
-_FD_STEP_CAP = 1e-6
 
 
 def _check_dim(d: int) -> None:
@@ -72,15 +70,18 @@ def bound_norm_sum(p: float, d: int) -> float:
     _check_dim(d)
     if not 0.5 < p <= 1.0:
         raise OutOfRange(f"ASP {p} outside (1/2, 1]")
+    return d - ((2.0 + math.sqrt(2.0)) / d) * (1.0 - math.sqrt(_norm_sum_disc(p, d)))
+
+
+def _norm_sum_disc(p: float, d: int) -> float:
+    """``d^3*(2p-1)^2 - (d^2-1)``, which is 0 at the norm-sum threshold."""
     disc = d**3 * (2.0 * p - 1.0) ** 2 - (d * d - 1.0)
     edge = (d * d - 1.0) * 1e-13  # rounding scale of the subtraction
     if disc < -edge:
         raise BelowThreshold(
             f"ASP {p} below norm-sum threshold {norm_sum_threshold(d):.6f}"
         )
-    if disc < edge:
-        disc = 0.0
-    return d - ((2.0 + math.sqrt(2.0)) / d) * (1.0 - math.sqrt(disc))
+    return disc if disc >= edge else 0.0
 
 
 def bound_max_sqrt_overlap(p: float, d: int) -> float:
@@ -93,12 +94,15 @@ def bound_max_sqrt_overlap(p: float, d: int) -> float:
     u = 2.0 * p - 1.0
     if not (p > 0.5 and d * u * u <= 1.0 + 1e-14):
         raise OutOfRange(f"ASP {p} outside (1/2, quantum optimum] for d={d}")
+    return u + math.sqrt(d * (d * d - 1.0) * _smax_bracket(u, d)) / d
+
+
+def _smax_bracket(u: float, d: int) -> float:
+    """``1 - d*u^2`` with u = 2p - 1, which is 0 at the quantum optimum."""
     bracket = 1.0 - d * u * u
     # rounding of u near the optimum leaves a ~1e-16 residual that the
     # square root would amplify to ~1e-8; treat it as the exact boundary
-    if bracket < 1e-14:
-        bracket = 0.0
-    return u + math.sqrt(d * (d * d - 1.0) * bracket) / d
+    return bracket if bracket >= 1e-14 else 0.0
 
 
 def bound_entropic(p: float, d: int) -> float:
@@ -136,61 +140,83 @@ def mub_incompat_value(d: int) -> float:
 
 
 # -- error propagation --------------------------------------------------------
+#
+# Each slope is df/dp of its bound, 0 where the bound is clamped and
+# infinite at a square-root edge.
 
-def _bound_domain(bound_id: str, d: int) -> tuple[float, float, bool]:
-    """(lower, upper, upper_edge_singular) of the applicability interval."""
-    pq = quantum_optimum(d)
-    if bound_id == "hs":
-        return 0.5, 1.0, False
-    if bound_id == "norm_sum":
-        return norm_sum_threshold(d), 1.0, False
-    if bound_id in ("smax", "entropic"):
-        return 0.5, pq, True
-    raise ValueError(f"unknown bound id {bound_id!r}; expected one of "
-                     "'hs', 'norm_sum', 'smax', 'entropic'")
+def _slope_overlap_entropy(p: float, d: int) -> float:
+    u = 2.0 * p - 1.0
+    if d * math.sqrt(d) * u <= 1.0:
+        return 0.0
+    return 4.0 / (math.log(2.0) * u)
 
 
-def _bound_function(bound_id: str):
-    functions = {
-        "hs": bound_overlap_entropy,
-        "norm_sum": bound_norm_sum,
-        "smax": bound_max_sqrt_overlap,
-        "entropic": bound_entropic,
-    }
-    if bound_id not in functions:
-        raise ValueError(f"unknown bound id {bound_id!r}; expected one of "
-                         f"{sorted(functions)}")
-    return functions[bound_id]
+def _slope_norm_sum(p: float, d: int) -> float:
+    disc = _norm_sum_disc(p, d)
+    if disc == 0.0:
+        return math.inf
+    return 2.0 * (2.0 + math.sqrt(2.0)) * d * d * (2.0 * p - 1.0) / math.sqrt(disc)
+
+
+def _slope_max_sqrt_overlap(p: float, d: int) -> float:
+    u = 2.0 * p - 1.0
+    bracket = _smax_bracket(u, d)
+    if bracket == 0.0:
+        return -math.inf
+    return 2.0 * (1.0 - u * math.sqrt(d * (d * d - 1.0) / bracket))
+
+
+def _slope_entropic(p: float, d: int) -> float:
+    s = bound_max_sqrt_overlap(p, d)
+    if s >= 1.0:
+        return 0.0
+    return -2.0 * _slope_max_sqrt_overlap(p, d) / (s * math.log(2.0))
+
+
+# bound id -> (f(p, d), df/dp(p, d), applicability interval (lo, hi] of p)
+_BOUNDS = {
+    "hs": (bound_overlap_entropy, _slope_overlap_entropy,
+           lambda d: (0.5, 1.0)),
+    "norm_sum": (bound_norm_sum, _slope_norm_sum,
+                 lambda d: (norm_sum_threshold(d), 1.0)),
+    "smax": (bound_max_sqrt_overlap, _slope_max_sqrt_overlap,
+             lambda d: (0.5, quantum_optimum(d))),
+    "entropic": (bound_entropic, _slope_entropic,
+                 lambda d: (0.5, quantum_optimum(d))),
+}
 
 
 def propagate_error(bound_id: str, p: float, sigma: float, d: int) -> float:
-    """One-sigma uncertainty |df/dp| * sigma of a bound, by finite differences.
+    """One-sigma uncertainty |df/dp| * sigma of a bound, from its exact slope.
 
-    The step is ``min(sigma, 1e-6)``; central differences are used where
-    the window stays inside the bound's applicability interval, one-sided
-    differences at its edges.  At the quantum optimum itself (where the
-    overlap and entropic bounds have a square-root singularity) the
-    backward sigma-step difference ``|f(p) - f(p - sigma)|`` is returned.
+    Where the slope is infinite (the square-root edge of the overlap and
+    entropic bounds at the quantum optimum, and of the norm-sum bound at
+    its threshold) the one-sigma difference into the interval is returned
+    instead: ``|f(p) - f(p - sigma)|`` at the optimum, with ``p - sigma``
+    clipped just above 1/2, and ``|f(p) - f(p + sigma)|`` at the threshold.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    f = _bound_function(bound_id)
-    lo, hi, singular = _bound_domain(bound_id, d)
+    if bound_id not in _BOUNDS:
+        raise ValueError(f"unknown bound id {bound_id!r}; expected one of "
+                         f"{sorted(_BOUNDS)}")
+    _check_dim(d)
+    f, slope, interval = _BOUNDS[bound_id]
+    lo, hi = interval(d)
     if not lo < p <= hi:
         raise BoundInapplicableInWindow(
             f"bound {bound_id!r} not applicable at ASP {p} for d={d}"
         )
     if sigma == 0.0:
         return 0.0
-    h = min(sigma, _FD_STEP_CAP)
-    if singular and p >= hi - 1e-15:
-        back = max(p - sigma, lo + (hi - lo) * 1e-9)
-        return abs(f(p, d) - f(back, d))
-    if p + h <= hi and p - h >= lo + (hi - lo) * 1e-12:
-        return abs(f(p + h, d) - f(p - h, d)) / (2.0 * h) * sigma
-    if p + h > hi:
-        return abs(f(p, d) - f(p - h, d)) / h * sigma
-    return abs(f(p + h, d) - f(p, d)) / h * sigma
+    rate = abs(slope(p, d))
+    if math.isfinite(rate):
+        return rate * sigma
+    if hi - p < p - lo:
+        other = max(p - sigma, lo + (hi - lo) * 1e-9)
+    else:
+        other = min(p + sigma, hi)
+    return abs(f(p, d) - f(other, d))
 
 
 # -- the full certificate -----------------------------------------------------
@@ -301,9 +327,8 @@ def full_certificate(asp: AspEstimate, d: int) -> CertificateReport:
         )
 
     def evaluate(bound_id: str) -> BoundResult:
-        f = _bound_function(bound_id)
         try:
-            value = f(p, d)
+            value = _BOUNDS[bound_id][0](p, d)
             err = propagate_error(bound_id, p, sigma, d)
         except (OutOfRange, BelowThreshold, BoundInapplicableInWindow) as exc:
             return _inapplicable(str(exc))

@@ -198,6 +198,9 @@ def cmd_simulate(args, command) -> int:
         print("error: --ideal and --visibility-target are mutually exclusive",
               file=sys.stderr)
         return EXIT_ARGS
+    if args.rounds is not None and args.rounds <= 0:
+        print("error: --rounds must be positive", file=sys.stderr)
+        return EXIT_ARGS
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -208,7 +211,11 @@ def cmd_simulate(args, command) -> int:
         config = InterferometerConfig()
     config.validate()
 
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    if args.seed is None:
+        seed = _fresh_seed()
+        command = command + ["--seed", str(seed)]  # so that replay reuses it
+    else:
+        seed = args.seed
     extra = {}
 
     if args.visibility_target is not None:
@@ -221,7 +228,11 @@ def cmd_simulate(args, command) -> int:
 
     if args.ideal:
         rounds = args.rounds if args.rounds is not None else 60000
-        table = ideal_expected_counts(rounds)
+        try:
+            table = ideal_expected_counts(rounds)
+        except ValueError as exc:
+            print(f"error: --rounds: {exc}", file=sys.stderr)
+            return EXIT_ARGS
         table.seed = seed
         table.config = config.to_dict()
         extra["mode"] = "ideal"
@@ -261,6 +272,9 @@ def cmd_certify(args, command) -> int:
         if args.asp is None or args.sigma is None or args.d is None:
             print("error: --asp, --sigma and --d are required without --counts",
                   file=sys.stderr)
+            return EXIT_ARGS
+        if args.d < 2:
+            print("error: --d must be an integer >= 2", file=sys.stderr)
             return EXIT_ARGS
         est = AspEstimate(value=args.asp, sigma=args.sigma)
         d = args.d

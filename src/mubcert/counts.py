@@ -3,7 +3,8 @@
 A counts table records, for each input setting ``(i, j, y)`` and detector
 outcome, how many detections were registered.  The CSV format is
 ``i,j,y,outcome,count`` with 1-based indices, one row per cell, rows in
-canonical sorted order; duplicate cells are rejected on read.
+canonical sorted order.  On read, d is the largest index, and the file
+must hold each of the 2*d^3 cells exactly once.
 """
 
 from __future__ import annotations
@@ -69,12 +70,16 @@ def write_counts_csv(table: CountsTable, path) -> None:
 
 
 def read_counts_csv(path) -> CountsTable:
-    """Parse a counts CSV; rejects bad headers, indices, and duplicate cells."""
+    """Parse a counts CSV; rejects bad headers, rows and incomplete grids.
+
+    Every row is checked before the table is sized, so a stray large
+    index is reported instead of allocating a (d, d, 2, d) table for it.
+    """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CountsFormatError(f"expected header {CSV_HEADER!r}")
-    rows = []
+    rows = {}
     for ln_no, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != 5:
@@ -83,19 +88,25 @@ def read_counts_csv(path) -> CountsTable:
             i, j, y, b, c = (int(p) for p in parts)
         except ValueError as exc:
             raise CountsFormatError(f"line {ln_no}: non-integer field") from exc
-        rows.append((ln_no, i, j, y, b, c))
-    if not rows:
-        raise CountsFormatError("no data rows")
-    dim = max(max(r[1], r[2], r[4]) for r in rows)
-    table = CountsTable.zeros(dim)
-    seen = np.zeros((dim, dim, 2, dim), dtype=bool)
-    for ln_no, i, j, y, b, c in rows:
-        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= b <= dim and y in (1, 2)):
+        if min(i, j, b) < 1 or y not in (1, 2):
             raise CountsFormatError(f"line {ln_no}: index out of range")
         if c < 0:
             raise CountsFormatError(f"line {ln_no}: negative count")
-        if seen[i - 1, j - 1, y - 1, b - 1]:
+        if (i, j, y, b) in rows:
             raise CountsFormatError(f"line {ln_no}: duplicate cell ({i},{j},{y},{b})")
-        seen[i - 1, j - 1, y - 1, b - 1] = True
+        rows[i, j, y, b] = c
+    if not rows:
+        raise CountsFormatError("no data rows")
+    if sum(rows.values()) > np.iinfo(np.int64).max:
+        raise CountsFormatError("counts add up past the int64 range")
+    dim = max(max(i, j, b) for i, j, _, b in rows)
+    if dim < 2:
+        raise CountsFormatError(f"largest index {dim} gives d < 2")
+    if len(rows) != 2 * dim**3:
+        raise CountsFormatError(
+            f"largest index {dim} needs {2 * dim**3} data rows, got {len(rows)}"
+        )
+    table = CountsTable.zeros(dim)
+    for (i, j, y, b), c in rows.items():
         table.cells[i - 1, j - 1, y - 1, b - 1] = c
     return table

@@ -4,13 +4,15 @@ The preparation side shapes a path-encoded ququart with per-arm
 transmissivities and phases; the measurement side applies per-arm phases
 and a balanced four-port splitter, and a click in output path k is
 outcome k.  The protocol runs on the Hadamard MUB pair: every pulse
-carries one of the pair's optimal QRAC encodings, measured in the basis
-that Bob's input selects, with phase noise added to the preparation
-phases.  The source emits Poissonian photon numbers (mean ``mu`` per
-pulse), detectors register each photon independently with a fixed
-efficiency, and optional dark counts fire per gate.  Gaussian drift has
-closed-form fringe visibility and ASP, so it is calibrated to a target
-visibility exactly; only the random walk is estimated by Monte Carlo.
+carries one of the pair's optimal QRAC encodings, its arm amplitudes
+scaled by the transmissivities ``tau`` and renormalized, measured in the
+basis that Bob's input selects, with phase noise added to the
+preparation phases.  The source emits Poissonian photon numbers (mean
+``mu`` per pulse), detectors register each photon independently with a
+fixed efficiency, and optional dark counts fire per gate.  Gaussian
+drift has closed-form fringe visibility and ASP, so it is calibrated to
+a target visibility exactly; only the random walk is estimated by Monte
+Carlo.
 Everything is deterministic given the master seed.
 """
 
@@ -94,6 +96,8 @@ class InterferometerConfig:
             raise ConfigError("rep_rate and integration_time must be positive")
         if len(self.tau) != ARMS or any(not 0.0 <= t <= 1.0 for t in self.tau):
             raise ConfigError("tau must be 4 transmissivities in [0, 1]")
+        if not (np.abs(_protocol_tables()[0]) @ np.asarray(self.tau)).all():
+            raise ConfigError("tau blocks every arm of a protocol state")
         self.phase_noise.validate()
 
     def default_rounds(self) -> int:
@@ -140,7 +144,7 @@ class InterferometerConfig:
                 tau=tuple(float(t) for t in doc.get("tau", (1.0,) * ARMS)),
                 dark_count_prob=float(doc.get("dark_count_prob", 0.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"bad config value: {exc}") from exc
         cfg.validate()
         return cfg
@@ -295,6 +299,7 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
     clicked = settings[sel]
     ij, y = np.divmod(clicked, 2)
     comps = states[ij]
+    comps *= config.tau  # the cum normalization below renormalizes
     if noise is not None:
         comps = comps * np.exp(1j * noise[sel])
     probs = np.empty(comps.shape)
@@ -322,11 +327,12 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
     """Run the full protocol loop and collect a detection-count table.
 
     Each round draws an input setting (i, j, y) uniformly, prepares the
-    corresponding protocol state (with phase noise added to the applied
-    preparation phases), measures in the basis selected by y, and records
-    every detected photon.  ``rounds`` defaults to the number of pulses
-    in one integration window (rep_rate * integration_time).  The result
-    is bit-for-bit reproducible from (config, rounds, seed).
+    corresponding protocol state (arm amplitudes scaled by ``tau`` and
+    renormalized, phase noise added to the preparation phases), measures
+    in the basis selected by y, and records every detected photon.
+    ``rounds`` defaults to the number of pulses in one integration window
+    (rep_rate * integration_time).  The result is bit-for-bit
+    reproducible from (config, rounds, seed).
     """
     config.validate()
     if rounds is None:
@@ -348,13 +354,17 @@ def noise_averaged_asp(config: InterferometerConfig, n_samples: int = 20000,
                        seed: int = 0) -> float:
     """Expected ASP under the configured phase noise (no photon sampling).
 
-    For no noise or Gaussian drift this is exact: every cross term of the
-    success probability is damped by ``exp(-sigma^2)``, which gives
-    1/4 + exp(-sigma^2)/2 for the protocol states.  The random walk is
-    averaged over ``n_samples`` walk steps drawn from ``seed``.
+    The protocol states are weighted by ``tau`` and renormalized, as in
+    ``simulate_counts``.  For no noise or Gaussian drift this is exact:
+    every cross term of the success probability is damped by
+    ``exp(-sigma^2)``, which gives 1/4 + exp(-sigma^2)/2 for equal
+    transmissivities.  The random walk is averaged over ``n_samples``
+    walk steps drawn from ``seed``.
     """
     config.validate()
     states, bras = _protocol_tables()
+    states = states * np.asarray(config.tau)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
     d = states.shape[1]
     i, j = np.divmod(np.arange(d * d), d)
     # terms[y, ij, k]: arm k's share of the amplitude of the correct
@@ -423,9 +433,10 @@ def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float
 
     Gaussian drift scales every pair's visibility by exp(-sigma^2), so
     sigma = sqrt(ln(V0 / V)) with V0 the noiseless mean visibility.  The
-    random walk bisects on sigma with common random numbers, so the
-    simulated visibility is a smooth decreasing function of sigma and the
-    result is deterministic for a given seed.
+    random walk bisects on sigma in [SIGMA_LO, SIGMA_HI] with common
+    random numbers, so the simulated visibility is a smooth decreasing
+    function of sigma and the result is deterministic for a given seed.
+    A target that no sigma in that range reaches raises ConfigError.
     """
     config.validate()
     model = config.phase_noise.model
@@ -449,7 +460,9 @@ def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float
 
     lo, hi = SIGMA_LO, SIGMA_HI
     if vis_at(lo) < target_visibility:
-        return lo
+        raise ConfigError(
+            f"target visibility {target_visibility} unreachable above sigma={lo}"
+        )
     if vis_at(hi) > target_visibility:
         raise ConfigError(
             f"target visibility {target_visibility} unreachable below sigma={hi}"

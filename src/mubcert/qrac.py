@@ -54,9 +54,9 @@ class AspEstimate:
     """An ASP value with one-standard-deviation uncertainty.
 
     ``per_input[i, j, y]`` holds the conditional success probability for
-    each setting (NaN where no data exists); ``value`` is their uniform
-    average.  ``per_input`` is None when the estimate was supplied as a
-    bare value rather than derived from counts.
+    each setting; ``value`` is their uniform average.  ``per_input`` is
+    None when the estimate was supplied as a bare value rather than
+    derived from counts.
     """
 
     value: float
@@ -145,7 +145,7 @@ def brute_force_optimal_asp(pair: MubPair) -> tuple[float, EncodingTable]:
     return float(total / (2 * d * d)), EncodingTable(dim=d, states=states)
 
 
-def estimate_asp(counts: CountsTable, require_complete: bool = True) -> AspEstimate:
+def estimate_asp(counts: CountsTable) -> AspEstimate:
     """Estimate the ASP and its Poissonian uncertainty from counts.
 
     The success probability of setting (i, j, y) is the fraction of its
@@ -156,22 +156,15 @@ def estimate_asp(counts: CountsTable, require_complete: bool = True) -> AspEstim
     Every detection count is treated as an independent Poisson variable
     with variance equal to the count; propagating those fluctuations
     through the per-setting ratio gives ``var = p(1-p)/T`` per setting
-    with total T, and the setting variances add in the average.
-
-    With ``require_complete`` (default) any empty setting raises
-    EmptyCell.  When disabled, the average runs over the populated
-    settings only and ``per_input`` holds NaN elsewhere.
+    with total T, and the setting variances add in the average.  A
+    setting without detections raises EmptyCell.
     """
     d = counts.dim
     totals = counts.setting_totals().astype(float)
-    populated = totals > 0
-    if require_complete and not populated.all():
-        idx = np.argwhere(~populated)[0]
-        raise EmptyCell(
-            f"setting (i={idx[0] + 1}, j={idx[1] + 1}, y={idx[2] + 1}) has no detections"
-        )
-    if not populated.any():
-        raise EmptyCell("counts table has no detections at all")
+    empty = np.argwhere(totals == 0)
+    if empty.size:
+        i, j, y = empty[0] + 1
+        raise EmptyCell(f"setting (i={i}, j={j}, y={y}) has no detections")
 
     correct = np.empty((d, d, 2), dtype=float)
     row = np.arange(d)[:, None]
@@ -179,16 +172,11 @@ def estimate_asp(counts: CountsTable, require_complete: bool = True) -> AspEstim
     correct[:, :, 0] = counts.cells[row, col, 0, row]  # y=1 target is i
     correct[:, :, 1] = counts.cells[row, col, 1, col]  # y=2 target is j
 
-    per_input = np.full((d, d, 2), np.nan)
-    per_input[populated] = correct[populated] / totals[populated]
-
-    n_set = int(populated.sum())
-    value = float(per_input[populated].mean())
-    cell_var = per_input[populated] * (1.0 - per_input[populated]) / totals[populated]
-    sigma = float(np.sqrt(cell_var.sum()) / n_set)
+    per_input = correct / totals
+    cell_var = per_input * (1.0 - per_input) / totals
     return AspEstimate(
-        value=value,
-        sigma=sigma,
+        value=float(per_input.mean()),
+        sigma=float(np.sqrt(cell_var.sum()) / per_input.size),
         per_input=per_input,
         n_rounds=counts.total(),
     )

@@ -170,6 +170,22 @@ class TestPropagateError:
             propagate_error("nonsense", P_OBS, SIGMA_OBS, 4)
 
 
+class TestSquareRootEdges:
+    """Where a slope is infinite, sigma is the one-sigma difference into the interval."""
+
+    @pytest.mark.parametrize("bound_id, f", [("smax", bound_max_sqrt_overlap),
+                                             ("entropic", bound_entropic)])
+    def test_backward_difference_at_optimum(self, bound_id, f):
+        pq = quantum_optimum(4)
+        assert propagate_error(bound_id, pq, 1e-3, 4) == abs(f(pq, 4) - f(pq - 1e-3, 4))
+
+    def test_forward_difference_at_norm_sum_threshold(self):
+        p = float(np.nextafter(norm_sum_threshold(4), 1.0))
+        err = propagate_error("norm_sum", p, 1e-3, 4)
+        assert err == abs(bound_norm_sum(p + 1e-3, 4) - bound_norm_sum(p, 4))
+        assert math.isfinite(err)
+
+
 class TestFullCertificate:
     def test_reported_numbers(self):
         report = full_certificate(AspEstimate(P_OBS, SIGMA_OBS), 4)

@@ -108,6 +108,22 @@ class TestSimulateCommand:
                     "--out", "x.csv"], tmp_path) == 3
         assert not (tmp_path / "x.csv").exists()
 
+    def test_walk_target_above_sigma_floor_exits_3(self, tmp_path):
+        # at seed 5 the walk's visibility at SIGMA_LO is already below 0.9989
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"det_efficiency": 1.0,
+                                   "phase_noise": {"model": "random_walk"}}))
+        assert run(["simulate", "--config", str(cfg), "--seed", "5",
+                    "--rounds", "5000", "--visibility-target", "0.9989",
+                    "--out", "x.csv"], tmp_path) == 3
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("extra", [["--rounds", "0"], ["--ideal", "--rounds", "10"]],
+                             ids=["zero-rounds", "ideal-too-few-rounds"])
+    def test_unusable_rounds_exit_2(self, tmp_path, extra):
+        assert run(["simulate", "--seed", "1", "--out", "x.csv"] + extra, tmp_path) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_ideal_conflicts_with_visibility_target(self, tmp_path):
         assert run(["simulate", "--ideal", "--visibility-target", "0.9989"],
                    tmp_path) == 2
@@ -180,6 +196,16 @@ class TestCertifyCommand:
         bad.write_text("i,j,y,outcome,count\n1,1,1,1,5\n1,1,1,1,5\n")
         assert run(["certify", "--counts", str(bad)], tmp_path) == 4
 
+    def test_dimension_one_exits_2(self, tmp_path):
+        assert run(["certify", "--asp", "0.7", "--sigma", "0.001", "--d", "1"],
+                   tmp_path) == 2
+
+    def test_dimension_one_counts_exit_4(self, tmp_path):
+        d1 = tmp_path / "d1.csv"
+        d1.write_text("i,j,y,outcome,count\n1,1,1,1,5\n1,1,2,1,5\n")
+        assert run(["certify", "--counts", str(d1)], tmp_path) == 4
+        assert run(["figure-data", "--counts", str(d1)], tmp_path) == 4
+
     def test_dim_mismatch_exits_2(self, tmp_path):
         counts = tmp_path / "c.csv"
         write_counts_csv(ideal_expected_counts(60000), counts)
@@ -251,6 +277,17 @@ class TestReplay:
         original = out.read_bytes()
         out.unlink()
         manifest = tmp_path / "run.csv.manifest.json"
+        assert run(["replay", str(manifest)], tmp_path) == 0
+        assert out.read_bytes() == original
+
+    def test_seedless_run_replays_byte_identical(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--rounds", "80000", "--out", str(out)], tmp_path) == 0
+        original = out.read_bytes()
+        manifest = tmp_path / "run.csv.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["command"][-2:] == ["--seed", str(doc["seed"])]
+        out.unlink()
         assert run(["replay", str(manifest)], tmp_path) == 0
         assert out.read_bytes() == original
 

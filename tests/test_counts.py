@@ -61,6 +61,45 @@ def test_rejects_non_integer(tmp_path):
         read_counts_csv(path)
 
 
+def _complete_rows(d):
+    return [f"{i},{j},{y},{b},1" for i in range(1, d + 1) for j in range(1, d + 1)
+            for y in (1, 2) for b in range(1, d + 1)]
+
+
+def test_rejects_dimension_below_two(tmp_path):
+    path = tmp_path / "d1.csv"
+    path.write_text("i,j,y,outcome,count\n1,1,1,1,5\n1,1,2,1,5\n")
+    with pytest.raises(CountsFormatError, match="d < 2"):
+        read_counts_csv(path)
+
+
+def test_rejects_incomplete_grid(tmp_path):
+    path = tmp_path / "partial.csv"
+    path.write_text("\n".join(["i,j,y,outcome,count"] + _complete_rows(4)[:-1]) + "\n")
+    with pytest.raises(CountsFormatError, match="127"):
+        read_counts_csv(path)
+
+
+def test_large_index_rejected_before_sizing(tmp_path):
+    # one stray index 40 in a complete d=4 file: d=40 would need 128000
+    # rows, so the file is rejected instead of read into a (40,40,2,40) table
+    rows = _complete_rows(4)
+    rows[5] = "1,1,1,40,1"
+    path = tmp_path / "stray.csv"
+    path.write_text("\n".join(["i,j,y,outcome,count"] + rows) + "\n")
+    with pytest.raises(CountsFormatError, match="128000"):
+        read_counts_csv(path)
+
+
+def test_rejects_counts_past_int64(tmp_path):
+    # each count fits int64, but their sum, which estimate_asp takes, does not
+    rows = [f"1,1,1,{b},{2**62}" for b in (1, 2)] + _complete_rows(2)[2:]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(["i,j,y,outcome,count"] + rows) + "\n")
+    with pytest.raises(CountsFormatError, match="int64"):
+        read_counts_csv(path)
+
+
 def test_setting_totals(table):
     totals = table.setting_totals()
     assert totals.shape == (4, 4, 2)

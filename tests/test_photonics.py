@@ -412,6 +412,32 @@ class TestCalibration:
                 calibrate_drift_sigma(cfg, target, seed=0)
 
 
+    def test_walk_target_above_sigma_floor_raises(self):
+        # at seed 5 even SIGMA_LO leaves the mean visibility near 0.9959
+        cfg = replace(
+            InterferometerConfig(),
+            det_efficiency=1.0,
+            phase_noise=PhaseNoiseConfig("random_walk", 0.0),
+        )
+        with pytest.raises(ConfigError, match="unreachable"):
+            calibrate_drift_sigma(cfg, 0.9989, seed=5)
+
+
+class TestTransmissivity:
+    def test_tau_imbalance_reaches_the_counts(self):
+        # arm 2 at half amplitude lowers the expected ASP from 3/4 to 17/24
+        cfg = replace(InterferometerConfig(), det_efficiency=1.0, tau=(1.0, 0.5, 1.0, 1.0))
+        expected = noise_averaged_asp(cfg)
+        assert expected == pytest.approx(17 / 24, abs=1e-12)
+        est = estimate_asp(simulate_counts(cfg, rounds=400_000, seed=3))
+        assert abs(est.value - expected) < 5 * est.sigma
+        assert est.value < 0.75 - 10 * est.sigma
+
+    def test_rejects_tau_blocking_a_protocol_state(self):
+        with pytest.raises(ConfigError, match="blocks"):
+            replace(InterferometerConfig(), tau=(1.0, 0.0, 0.0, 0.0)).validate()
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = replace(

@@ -152,14 +152,6 @@ class TestEstimateAsp:
         assert est.value == pytest.approx(0.75, abs=1e-6)
         assert est.n_rounds == table.total()
 
-    def test_single_round(self):
-        table = CountsTable.zeros(4)
-        table.cells[1, 2, 0, 1] = 1  # setting (2,3,y=1), outcome 2 == target i
-        est = estimate_asp(table, require_complete=False)
-        assert est.value == 1.0
-        assert est.per_input[1, 2, 0] == 1.0
-        assert np.isnan(est.per_input[0, 0, 0])
-
     def test_uniform_counts(self):
         table = CountsTable(dim=4, cells=np.full((4, 4, 2, 4), 250, dtype=np.int64))
         est = estimate_asp(table)
