@@ -274,7 +274,7 @@ class CertificateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        return json.dumps(self.as_dict(), indent=2, allow_nan=False)
 
 
 def _inapplicable(reason: str) -> BoundResult:

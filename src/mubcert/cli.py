@@ -17,9 +17,12 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
@@ -43,6 +46,7 @@ from .mub import (
     overlap_entropy,
 )
 from .photonics import (
+    SAMPLER_VERSION,
     InterferometerConfig,
     PhaseNoiseConfig,
     calibrate_drift_sigma,
@@ -60,7 +64,11 @@ EXIT_DATA = 4
 
 @dataclass
 class RunManifest:
-    """Provenance record accompanying every primary output file."""
+    """Provenance record accompanying every primary output file.
+
+    ``input_sha256`` maps each input path to the sha256 of its bytes, so
+    that ``replay`` can refuse inputs that changed since the run.
+    """
 
     command: list
     tool_version: str
@@ -71,12 +79,20 @@ class RunManifest:
     started_utc: str
     finished_utc: str = ""
     extra: dict = field(default_factory=dict)
+    input_sha256: dict = field(default_factory=dict)
 
     def write(self, primary_output) -> Path:
         self.finished_utc = _utc_now()
+        self.input_sha256 = {p: _sha256(p) for p in self.inputs}
         path = Path(str(primary_output) + ".manifest.json")
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, allow_nan=False) + "\n")
         return path
+
+
+def _sha256(path) -> str:
+    import hashlib  # imported here so that startup stays as fast as before
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _utc_now() -> str:
@@ -171,7 +187,7 @@ def cmd_mub(args, command) -> int:
     doc = mub_pair_to_dict(pair)
     doc["metrics"] = _pair_metrics(pair)
     out = Path(args.out)
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     RunManifest(
         command=command, tool_version=__version__, seed=None, config=None,
         inputs=[], outputs=[str(out)], started_utc=started,
@@ -239,7 +255,11 @@ def cmd_simulate(args, command) -> int:
     else:
         table = simulate_counts(config, rounds=args.rounds, seed=seed)
         extra["mode"] = "monte-carlo"
+        extra["sampler"] = SAMPLER_VERSION
     extra["total_detections"] = table.total()
+    # library versions, to explain a replay whose counts differ
+    extra["numpy"] = np.__version__
+    extra["python"] = platform.python_version()
 
     out = Path(args.out)
     write_counts_csv(table, out)
@@ -287,6 +307,12 @@ def cmd_certify(args, command) -> int:
         return EXIT_DATA
 
     report = full_certificate(est, d)
+    bounds = (report.hs_lower, report.norm_sum_lower, report.smax_upper,
+              report.incompat_upper, report.entropic_lower)
+    if not all(math.isfinite(b.sigma) for b in bounds if b.applicable):
+        print(f"data error: sigma {est.sigma} propagates to a non-finite bound sigma",
+              file=sys.stderr)
+        return EXIT_DATA
     out = Path(args.out)
     out.write_text(report.to_json() + "\n")
     table_out = out.with_suffix(".txt")
@@ -345,8 +371,14 @@ def cmd_replay(args, command) -> int:
     try:
         doc = json.loads(Path(args.manifest).read_text())
         argv = [str(a) for a in doc["command"]]
+        changed = [path for path, digest in doc.get("input_sha256", {}).items()
+                   if _sha256(path) != digest]
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"data error: cannot replay {args.manifest}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    if changed:
+        print(f"data error: cannot replay {args.manifest}: input {changed[0]} "
+              "changed since the run (sha256 mismatch)", file=sys.stderr)
         return EXIT_DATA
     return main(argv)
 

@@ -9,11 +9,16 @@ scaled by the transmissivities ``tau`` and renormalized, measured in the
 basis that Bob's input selects, with phase noise added to the
 preparation phases.  The source emits Poissonian photon numbers (mean
 ``mu`` per pulse), detectors register each photon independently with a
-fixed efficiency, and optional dark counts fire per gate.  Gaussian
-drift has closed-form fringe visibility and ASP, so it is calibrated to
-a target visibility exactly; only the random walk is estimated by Monte
-Carlo.
-Everything is deterministic given the master seed.
+fixed efficiency, and optional dark counts fire per gate.  Thinning the
+Poisson source leaves Poisson(mu * det_efficiency) detected photons per
+pulse, so the sampler is event-driven and still exact: it draws which
+pulses click and which gates fire dark, then settings, zero-truncated
+photon numbers and phase noise only for those pulses, and its work grows
+with detections rather than pulses.  Gaussian drift has closed-form
+fringe visibility and ASP, so it is calibrated to a target visibility
+exactly; only the random walk is estimated by Monte Carlo.
+Everything is deterministic given the master seed; ``SAMPLER_VERSION``
+names the byte stream a seed produces.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from .qrac import optimal_states
 
 ARMS = 4
 NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
+
+# Names the counts stream simulate_counts gives for (config, rounds,
+# seed); bump it whenever that stream changes.  Manifests record it.
+SAMPLER_VERSION = "event-1"
 
 # Rounds are processed in fixed-size blocks, each on an independent
 # substream of the master seed, so partial results merge identically
@@ -242,16 +251,36 @@ def ideal_expected_counts(total: int) -> CountsTable:
 
 # -- noise processes ----------------------------------------------------------
 
-def _draw_noise(model: str, sigma: float, n: int, rng: np.random.Generator,
-                walk_start: np.ndarray):
-    """Per-pulse noise phases of shape (n, arms) and the walk end point."""
+def _draw_noise(model: str, sigma: float, events: np.ndarray, n: int,
+                rng: np.random.Generator, walk_start: np.ndarray):
+    """Noise phases at the sorted pulse indices ``events`` of an n-pulse run.
+
+    Returns (phases of shape (events.size, arms) or None, walk end point).
+    Gaussian drift is drawn only at the events.  The random walk is
+    sampled at the events and at pulse n-1 with an N(0, gap*sigma^2) step
+    per arm over each gap, so its end point is exact.
+    """
     if model == "none" or sigma == 0.0:
         return None, walk_start
-    steps = rng.normal(0.0, sigma, size=(n, walk_start.size))
     if model == "gaussian_drift":
-        return steps, walk_start
-    walk = walk_start + np.cumsum(steps, axis=0)
-    return walk, walk[-1].copy()
+        return rng.normal(0.0, sigma, size=(events.size, walk_start.size)), walk_start
+    gaps = np.diff(events, prepend=-1, append=n - 1)
+    steps = rng.normal(0.0, sigma, size=(gaps.size, walk_start.size))
+    walk = walk_start + np.cumsum(steps * np.sqrt(gaps)[:, None], axis=0)
+    return walk[:-1], walk[-1].copy()
+
+
+def _zero_truncated_poisson(lam: float, size: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Poisson(lam) draws conditioned on being at least 1.
+
+    The first arrival T of a unit-rate Poisson process, conditioned on
+    T < lam, is -log1p(-q*U) with q = 1 - exp(-lam) and U uniform; the
+    arrivals after it are Poisson(lam - T).  Finite for any lam > 0.
+    """
+    q = -math.expm1(-lam)
+    first = -np.log1p(-q * rng.random(size))
+    return 1 + rng.poisson(np.maximum(lam - first, 0.0))  # rounding can dip below 0
 
 
 def _damping(noise: PhaseNoiseConfig) -> float | None:
@@ -275,33 +304,44 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
                   n_rounds: int, seed: int, walk_start: np.ndarray):
     """Simulate one block of rounds on its own substream.
 
-    Returns (cells, walk_end).  Output depends only on the arguments, so
-    blocks merge identically in any processing order.
+    Only the pulses that click are drawn, and the counts keep the
+    distribution of simulating every pulse.  Returns (cells, walk_end).
+    Output depends only on the arguments, so blocks merge identically in
+    any processing order.
     """
     states, bras = tables
     d = states.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(block_index,)))
 
-    # Fixed draw order: settings, photon numbers, detector thinning, noise,
-    # dark counts, then outcome uniforms.  A setting s = 2*(i*d + j) + y
-    # encodes the input dits and the basis choice.
-    settings = rng.integers(0, 2 * d * d, n_rounds)
-    n_photons = rng.poisson(config.mu, n_rounds)
-    n_detected = rng.binomial(n_photons, config.det_efficiency)
-    noise, walk_end = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                                  n_rounds, rng, walk_start)
-    dark = None
-    if config.dark_count_prob > 0.0:
-        dark = rng.random((n_rounds, d)) < config.dark_count_prob
+    # Fixed draw order: clicking pulses, dark gates, settings, photon
+    # numbers, noise, then outcome uniforms.  Thinning the Poisson(mu)
+    # source by the efficiency leaves Poisson(lam) detected photons per
+    # pulse, so each pulse clicks independently with probability q.
+    lam = config.mu * config.det_efficiency
+    q = -math.expm1(-lam)
+    clicks = np.sort(rng.choice(n_rounds, rng.binomial(n_rounds, q),
+                                replace=False, shuffle=False))
+    dark = rng.choice(n_rounds * d, rng.binomial(n_rounds * d, config.dark_count_prob),
+                      replace=False, shuffle=False)
+    dark_pulse, dark_arm = np.divmod(dark, d)
 
-    sel = n_detected > 0
-    clicked = settings[sel]
+    # One setting s = 2*(i*d + j) + y per touched pulse, shared by its
+    # photon clicks and dark gates; s encodes the input dits and basis.
+    touched = np.sort(np.concatenate([clicks, dark_pulse]))
+    touched = touched[np.diff(touched, prepend=-1) > 0]
+    settings = rng.integers(0, 2 * d * d, touched.size)
+    clicked = settings[np.searchsorted(touched, clicks)]
+
+    n_detected = _zero_truncated_poisson(lam, clicks.size, rng)
+    noise, walk_end = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
+                                  clicks, n_rounds, rng, walk_start)
+
     ij, y = np.divmod(clicked, 2)
     comps = states[ij]
     comps *= config.tau  # the cum normalization below renormalizes
     if noise is not None:
-        comps = comps * np.exp(1j * noise[sel])
+        comps = comps * np.exp(1j * noise)
     probs = np.empty(comps.shape)
     for yv in range(2):
         mask = y == yv
@@ -309,16 +349,14 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
     cum = np.cumsum(probs, axis=1)
     cum /= cum[:, -1:]
 
-    pulse_of_photon = np.repeat(np.arange(clicked.size), n_detected[sel])
+    pulse_of_photon = np.repeat(np.arange(clicked.size), n_detected)
     u = rng.random(pulse_of_photon.size)
     outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
 
     # Flat cell index ((i*d + j)*2 + y)*d + b = s*d + b.
-    hits = [clicked[pulse_of_photon] * d + outcome]
-    if dark is not None:
-        pulse, arm = np.nonzero(dark)
-        hits.append(settings[pulse] * d + arm)
-    cells = np.bincount(np.concatenate(hits), minlength=2 * d ** 3)
+    hits = np.concatenate([clicked[pulse_of_photon] * d + outcome,
+                           settings[np.searchsorted(touched, dark_pulse)] * d + dark_arm])
+    cells = np.bincount(hits, minlength=2 * d ** 3)
     return cells.reshape(d, d, 2, d), walk_end
 
 
@@ -374,7 +412,7 @@ def noise_averaged_asp(config: InterferometerConfig, n_samples: int = 20000,
     if damping is None:
         rng = np.random.default_rng(seed)
         noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                               n_samples, rng, np.zeros(d))
+                               np.arange(n_samples), n_samples, rng, np.zeros(d))
         amps = np.einsum("ysk,nk->nys", terms, np.exp(1j * noise))
         return float(np.mean(np.abs(amps) ** 2))
     diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
@@ -409,8 +447,9 @@ def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int],
 
     thetas = np.linspace(0.0, 2.0 * math.pi, N_PHASE_STEPS, endpoint=False)
     rng = np.random.default_rng(seed)
+    n_samples = N_PHASE_STEPS * SAMPLES_PER_STEP
     noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                           N_PHASE_STEPS * SAMPLES_PER_STEP, rng, np.zeros(ARMS))
+                           np.arange(n_samples), n_samples, rng, np.zeros(ARMS))
     delta = (noise[:, k - 1] - noise[:, l - 1]).reshape(N_PHASE_STEPS, SAMPLES_PER_STEP)
     fringe = np.mean(0.25 * (1.0 + base_vis * np.cos(thetas[:, None] + delta)), axis=1)
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 import mubcert
 from mubcert.cli import main
 from mubcert.counts import read_counts_csv, write_counts_csv
-from mubcert.photonics import ideal_expected_counts
+from mubcert.photonics import SAMPLER_VERSION, ideal_expected_counts
 
 
 def run(args, cwd):
@@ -134,6 +136,19 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
         assert isinstance(manifest["seed"], int)
 
+    def test_manifest_records_provenance(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 0.5}))
+        out = tmp_path / "c.csv"
+        assert run(["simulate", "--config", "cfg.json", "--seed", "3",
+                    "--rounds", "5000", "--out", str(out)], tmp_path) == 0
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["extra"]["sampler"] == SAMPLER_VERSION
+        assert manifest["extra"]["numpy"] == np.__version__
+        assert manifest["extra"]["python"] == platform.python_version()
+        digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert manifest["input_sha256"] == {"cfg.json": digest}
+
     def test_visibility_target_calibrates_noise(self, tmp_path):
         counts = tmp_path / "cal.csv"
         cert = tmp_path / "cal_cert.json"
@@ -185,6 +200,12 @@ class TestCertifyCommand:
     ])
     def test_non_finite_asp_or_sigma_exits_4(self, tmp_path, asp, sigma):
         assert run(["certify", "--asp", asp, "--sigma", sigma, "--d", "4",
+                    "--out", "c.json"], tmp_path) == 4
+        assert not (tmp_path / "c.json").exists()
+
+    def test_overflowing_bound_sigma_exits_4(self, tmp_path):
+        # a finite sigma whose propagated bound sigma overflows to inf
+        assert run(["certify", "--asp", "0.74", "--sigma", "1e308", "--d", "4",
                     "--out", "c.json"], tmp_path) == 4
         assert not (tmp_path / "c.json").exists()
 
@@ -289,6 +310,22 @@ class TestReplay:
         assert doc["command"][-2:] == ["--seed", str(doc["seed"])]
         out.unlink()
         assert run(["replay", str(manifest)], tmp_path) == 0
+        assert out.read_bytes() == original
+
+    def test_changed_input_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 0.2}))
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--config", "cfg.json", "--seed", "1",
+                    "--rounds", "50000", "--out", str(out)], tmp_path) == 0
+        original = out.read_bytes()
+        manifest = tmp_path / "run.csv.manifest.json"
+        assert run(["replay", str(manifest)], tmp_path) == 0
+        assert out.read_bytes() == original
+        cfg.write_text(json.dumps({"mu": 0.5}))
+        capsys.readouterr()
+        assert run(["replay", str(manifest)], tmp_path) == 4
+        assert "cfg.json" in capsys.readouterr().err
         assert out.read_bytes() == original
 
 

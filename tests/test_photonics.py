@@ -13,6 +13,7 @@ from mubcert.photonics import (
     PhaseNoiseConfig,
     _block_counts,
     _protocol_tables,
+    _zero_truncated_poisson,
     calibrate_drift_sigma,
     detection_probabilities,
     expected_outcome_probabilities,
@@ -171,6 +172,20 @@ class TestSampleSource:
             sample_source(0.0, np.random.default_rng(0))
 
 
+class TestZeroTruncatedPoisson:
+    @pytest.mark.parametrize("lam", [0.02, 1.5, 40.0])
+    def test_mean_and_single_photon_share(self, lam):
+        n = 200_000
+        x = _zero_truncated_poisson(lam, n, np.random.default_rng(3))
+        assert x.min() >= 1
+        q = -math.expm1(-lam)
+        mean = lam / q
+        var = mean * (1.0 + lam - mean)
+        assert abs(x.mean() - mean) < 5 * math.sqrt(var / n)
+        p1 = lam * math.exp(-lam) / q
+        assert abs(np.mean(x == 1) - p1) < 5 * math.sqrt(p1 * (1 - p1) / n) + 1e-12
+
+
 class TestEndToEndConsistency:
     def test_pipeline_matches_born_probabilities(self, d4_pair, encodings):
         # settings -> preparation -> detection reproduces |<basis|psi>|^2
@@ -259,13 +274,14 @@ class TestSimulateCounts:
         est = estimate_asp(simulate_counts(cfg, rounds=100000, seed=17))
         assert abs(est.value - 0.75) < 4 * est.sigma
 
-    # sha256 of the counts CSV for 300k rounds at seed 424242; any change
-    # to the sampler's draw order or decoding changes these.
+    # sha256 of the counts CSV for 300k rounds at seed 424242 (sampler
+    # "event-1"); any change to the sampler's draw order or decoding
+    # changes these, and SAMPLER_VERSION must change with them.
     @pytest.mark.parametrize("noise, dark, digest", [
         (PhaseNoiseConfig(), 0.0,
-         "e9ce8f985a42b3aa27e561c51c6e6c872b51b5eb811c64e9c89df6d18eb5cc2c"),
+         "e321cfe0a252905babd84e5d476ff01dfcee41bc2387db80157aba7706d654e3"),
         (PhaseNoiseConfig("random_walk", 1e-3), 0.01,
-         "5bf5b16627831f99f3cdac5097b4e6f45e9c9f2d80dfd9fbc76a71a1e309d946"),
+         "09aae8e1c0efb9c94facc8126dda10b29ddbffa0ec847da0eecd2bf579a00c12"),
     ], ids=["default", "random-walk-dark"])
     def test_sampler_stream_is_pinned(self, tmp_path, noise, dark, digest):
         cfg = replace(InterferometerConfig(), phase_noise=noise, dark_count_prob=dark)
@@ -286,6 +302,80 @@ class TestSimulateCounts:
                     emp = row / row.sum()
                     tol = 5 * np.sqrt(0.75 * 0.25 / row.sum())
                     assert np.max(np.abs(emp - probs_exp[4 * i + j, y])) < tol
+
+
+def per_pulse_counts(cfg, n, seed):
+    """Counts of one n-pulse block drawn pulse by pulse.
+
+    Every pulse gets a setting, a Poisson photon number thinned by the
+    detector, per-arm phase noise and per-gate dark counts, as a direct
+    model of the source and detectors; the random walk starts at zero.
+    """
+    states, bras = _protocol_tables()
+    d = states.shape[1]
+    rng = np.random.default_rng(seed)
+    settings = rng.integers(0, 2 * d * d, n)
+    n_detected = rng.binomial(rng.poisson(cfg.mu, n), cfg.det_efficiency)
+    noise = np.zeros((n, d))
+    if cfg.phase_noise.model != "none":
+        noise = rng.normal(0.0, cfg.phase_noise.sigma, (n, d))
+        if cfg.phase_noise.model == "random_walk":
+            noise = np.cumsum(noise, axis=0)
+    dark = rng.random((n, d)) < cfg.dark_count_prob
+
+    sel = n_detected > 0
+    clicked = settings[sel]
+    ij, y = np.divmod(clicked, 2)
+    kets = states[ij] * np.asarray(cfg.tau) * np.exp(1j * noise[sel])
+    probs = np.abs(np.einsum("pbk,pk->pb", bras[y], kets)) ** 2
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    photon = np.repeat(np.arange(clicked.size), n_detected[sel])
+    outcome = (rng.random(photon.size)[:, None] > cum[photon]).sum(axis=1)
+    pulse, arm = np.nonzero(dark)
+    hits = np.concatenate([clicked[photon] * d + outcome, settings[pulse] * d + arm])
+    return np.bincount(hits, minlength=2 * d ** 3)
+
+
+class TestSamplerDistribution:
+    """The event-driven sampler against a pulse-by-pulse model, over seeds."""
+
+    @pytest.mark.parametrize("cfg, rounds", [
+        (InterferometerConfig(), 50_000),
+        (replace(InterferometerConfig(), det_efficiency=1.0, dark_count_prob=0.01,
+                 phase_noise=PhaseNoiseConfig("gaussian_drift", 0.3)), 10_000),
+        (replace(InterferometerConfig(), mu=3.0, det_efficiency=0.5, dark_count_prob=0.01,
+                 phase_noise=PhaseNoiseConfig("random_walk", 0.02)), 5_000),
+    ], ids=["default", "drift-dark", "walk-dark-bright"])
+    def test_per_cell_mean_and_variance_match(self, cfg, rounds):
+        runs = 200
+        event = np.array([simulate_counts(cfg, rounds=rounds, seed=s).cells.ravel()
+                          for s in range(runs)])
+        pulse = np.array([per_pulse_counts(cfg, rounds, 10_000 + s)
+                          for s in range(runs)])
+        var_e, var_p = event.var(axis=0, ddof=1), pulse.var(axis=0, ddof=1)
+        z = (event.mean(axis=0) - pulse.mean(axis=0)) / np.sqrt((var_e + var_p) / runs)
+        # For equal distributions mean z^2 over the cells is 1 with standard
+        # deviation sqrt(2 mean rho^2); the random walk correlates the cells.
+        rho = np.corrcoef(np.vstack([event - event.mean(axis=0),
+                                     pulse - pulse.mean(axis=0)]).T)
+        assert np.mean(z ** 2) < 1 + 5 * np.sqrt(2 * np.mean(rho ** 2))
+        assert np.max(np.abs(z)) < 4.5
+        # each log variance ratio has a standard deviation near sqrt(4/runs)
+        assert np.max(np.abs(np.log(var_e / var_p))) < 0.8
+
+    @pytest.mark.parametrize("mu, eta", [(0.2, 0.001), (3.0, 0.5)],
+                             ids=["few-clicks", "most-pulses-click"])
+    def test_walk_end_spreads_over_every_pulse(self, mu, eta):
+        # the walk is sampled only at clicks, yet ends N(0, n sigma^2) away
+        sigma, n = 0.01, 2_000
+        cfg = replace(InterferometerConfig(), mu=mu, det_efficiency=eta,
+                      phase_noise=PhaseNoiseConfig("random_walk", sigma))
+        tables = _protocol_tables()
+        ends = np.array([_block_counts(cfg, tables, 0, n, seed, np.zeros(4))[1]
+                         for seed in range(400)]).ravel()
+        ratio = np.mean(ends ** 2) / (n * sigma ** 2)
+        assert abs(ratio - 1.0) < 5 * math.sqrt(2 / ends.size)
 
 
 class TestNoiseMonotonicity:
