@@ -237,10 +237,10 @@ def cmd_simulate(args, command) -> int:
     if args.visibility_target is not None:
         if config.phase_noise.model == "none":
             config.phase_noise = PhaseNoiseConfig(model="gaussian_drift")
-        sigma = calibrate_drift_sigma(config, args.visibility_target, seed=seed)
+        sigma = calibrate_drift_sigma(config, args.visibility_target)
         config.phase_noise = PhaseNoiseConfig(config.phase_noise.model, sigma)
         extra["calibrated_sigma"] = sigma
-        extra["calibrated_mean_visibility"] = mean_fringe_visibility(config, seed=seed)
+        extra["calibrated_mean_visibility"] = mean_fringe_visibility(config)
 
     if args.ideal:
         rounds = args.rounds if args.rounds is not None else 60000
@@ -370,10 +370,18 @@ def cmd_figure_data(args, command) -> int:
 def cmd_replay(args, command) -> int:
     try:
         doc = json.loads(Path(args.manifest).read_text())
-        argv = [str(a) for a in doc["command"]]
-        changed = [path for path, digest in doc.get("input_sha256", {}).items()
-                   if _sha256(path) != digest]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        if not isinstance(doc, dict):
+            raise ValueError("the manifest is not a JSON object")
+        argv = doc.get("command")
+        if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+            raise ValueError("its command is not a non-empty list of strings")
+        if argv[0] == "replay":
+            raise ValueError("its command is itself a replay")
+        digests = doc.get("input_sha256", {})
+        if not isinstance(digests, dict):
+            raise ValueError("its input_sha256 is not an object")
+        changed = [path for path, digest in digests.items() if _sha256(path) != digest]
+    except (OSError, ValueError) as exc:
         print(f"data error: cannot replay {args.manifest}: {exc}", file=sys.stderr)
         return EXIT_DATA
     if changed:

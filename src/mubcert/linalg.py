@@ -29,13 +29,6 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``m @ m^dagger`` equals the identity entrywise within ``tol``."""
-    a = as_matrix(m)
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a @ a.conj().T - eye)) <= tol)
-
-
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     """True if ``m`` is Hermitian within ``tol`` with spectrum >= ``-tol``."""
     a = as_matrix(m)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotProjective
 from .linalg import (
     DEFAULT_TOL,
-    as_matrix,
     eig_hermitian,
     operator_norm,
     psd_sqrt,
@@ -255,26 +254,9 @@ def depolarized_pair(pair: MubPair, visibility: float) -> MubPair:
                    construction=CONSTRUCTION_CUSTOM)
 
 
-def _check_same_dim(*dims: int) -> int:
-    if len(set(dims)) != 1:
-        raise DimensionMismatch(f"dimension mismatch: {dims}")
-    return dims[0]
-
-
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases.conj()
-
-
-def rotated_pair(pair: MubPair, unitary) -> MubPair:
-    """Conjugate both measurements by one global unitary."""
-    u = as_matrix(unitary)
-    _check_same_dim(pair.dim, u.shape[0])
-    def rot(meas: Measurement) -> Measurement:
-        effects = np.einsum("ab,kbc,dc->kad", u, meas.effects, u.conj())
-        return Measurement(dim=meas.dim, effects=effects)
-    return MubPair(first=rot(pair.first), second=rot(pair.second),
-                   construction=CONSTRUCTION_CUSTOM)

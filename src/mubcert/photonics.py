@@ -14,9 +14,10 @@ Poisson source leaves Poisson(mu * det_efficiency) detected photons per
 pulse, so the sampler is event-driven and still exact: it draws which
 pulses click and which gates fire dark, then settings, zero-truncated
 photon numbers and phase noise only for those pulses, and its work grows
-with detections rather than pulses.  Gaussian drift has closed-form
-fringe visibility and ASP, so it is calibrated to a target visibility
-exactly; only the random walk is estimated by Monte Carlo.
+with detections rather than pulses.  Both phase-noise models damp every
+two-arm interference term by one closed-form factor (see ``_damping``),
+so fringe visibility, expected ASP and calibration to a target
+visibility are exact for every model.
 Everything is deterministic given the master seed; ``SAMPLER_VERSION``
 names the byte stream a seed produces.
 """
@@ -40,31 +41,29 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
 # seed); bump it whenever that stream changes.  Manifests record it.
-SAMPLER_VERSION = "event-1"
+SAMPLER_VERSION = "event-2"
 
 # Rounds are processed in fixed-size blocks, each on an independent
 # substream of the master seed, so partial results merge identically
 # regardless of processing order.
 BLOCK_ROUNDS = 1 << 18
 
-# The random walk has no closed form: its fringe is averaged over
-# SAMPLES_PER_STEP walk samples at each of N_PHASE_STEPS scan phases, and
-# its sigma is bisected on [SIGMA_LO, SIGMA_HI] until the mean visibility
-# is within VISIBILITY_TOL of the target.
-N_PHASE_STEPS = 64
-SAMPLES_PER_STEP = 1024
-SIGMA_LO = 1e-4
-SIGMA_HI = 1.0
-VISIBILITY_TOL = 5e-5
+# Phase stabilization restarts the random walk at zero every
+# STABILIZE_ROUNDS pulses of the global pulse index.  It divides
+# BLOCK_ROUNDS, so every block starts on a restart and needs no state
+# from the block before.
+STABILIZE_ROUNDS = 1 << 10
 
 
 @dataclass
 class PhaseNoiseConfig:
     """Per-arm phase-noise process applied at the preparation stage.
 
-    ``gaussian_drift`` draws an independent Gaussian phase per pulse and
-    arm; ``random_walk`` accumulates Gaussian steps pulse to pulse.
-    ``sigma`` is in radians per pulse interval.
+    ``gaussian_drift`` draws an independent N(0, sigma^2) phase per pulse
+    and arm.  ``random_walk`` accumulates one N(0, sigma^2) step per arm
+    and pulse, and stabilization restarts it at zero every
+    ``STABILIZE_ROUNDS`` pulses: the pulse t pulses after a restart
+    (t = 0, 1, ...) carries t + 1 steps.  ``sigma`` is in radians.
     """
 
     model: str = "none"
@@ -251,23 +250,30 @@ def ideal_expected_counts(total: int) -> CountsTable:
 
 # -- noise processes ----------------------------------------------------------
 
-def _draw_noise(model: str, sigma: float, events: np.ndarray, n: int,
-                rng: np.random.Generator, walk_start: np.ndarray):
-    """Noise phases at the sorted pulse indices ``events`` of an n-pulse run.
+def _draw_noise(model: str, sigma: float, events: np.ndarray, arms: int,
+                rng: np.random.Generator) -> np.ndarray | None:
+    """Noise phases, shape (events.size, arms), at sorted pulse indices.
 
-    Returns (phases of shape (events.size, arms) or None, walk end point).
-    Gaussian drift is drawn only at the events.  The random walk is
-    sampled at the events and at pulse n-1 with an N(0, gap*sigma^2) step
-    per arm over each gap, so its end point is exact.
+    ``events`` count pulses from the start of a block, where the walk
+    restarts.  Gaussian drift is drawn only at the events.  The random
+    walk takes an N(0, gap*sigma^2) step per arm over each gap, where the
+    first event of a window counts its gap from the pulse before the
+    window's start, and the cumulative sum restarts at every window.
+    None without noise.
     """
     if model == "none" or sigma == 0.0:
-        return None, walk_start
+        return None
     if model == "gaussian_drift":
-        return rng.normal(0.0, sigma, size=(events.size, walk_start.size)), walk_start
-    gaps = np.diff(events, prepend=-1, append=n - 1)
-    steps = rng.normal(0.0, sigma, size=(gaps.size, walk_start.size))
-    walk = walk_start + np.cumsum(steps * np.sqrt(gaps)[:, None], axis=0)
-    return walk[:-1], walk[-1].copy()
+        return rng.normal(0.0, sigma, size=(events.size, arms))
+    window_start = events - events % STABILIZE_ROUNDS
+    prev = np.concatenate(([-1], events[:-1]))
+    first = prev < window_start
+    steps = rng.normal(0.0, sigma, size=(events.size, arms))
+    steps *= np.sqrt(events - np.maximum(prev, window_start - 1))[:, None]
+    walk = np.cumsum(steps, axis=0)
+    # subtract the sum up to each window's first event, exclusive
+    first_of = np.maximum.accumulate(np.where(first, np.arange(events.size), 0))
+    return walk - (walk[first_of] - steps[first_of])
 
 
 def _zero_truncated_poisson(lam: float, size: int,
@@ -283,31 +289,43 @@ def _zero_truncated_poisson(lam: float, size: int,
     return 1 + rng.poisson(np.maximum(lam - first, 0.0))  # rounding can dip below 0
 
 
-def _damping(noise: PhaseNoiseConfig) -> float | None:
+def _window(model: str) -> int:
+    """Pulses between restarts of a noise model's phases."""
+    return 1 if model == "gaussian_drift" else STABILIZE_ROUNDS
+
+
+def _window_damping(x: float, k: int) -> float:
+    """D(x, k) = (1/k) sum_{m=1..k} exp(-m x), in a form accurate for small x."""
+    if x == 0.0:
+        return 1.0
+    return math.exp(-x) * (math.expm1(-k * x) / (k * math.expm1(-x)))
+
+
+def _damping(noise: PhaseNoiseConfig) -> float:
     """Factor by which the noise scales every two-arm interference term.
 
-    The difference of two independent N(0, sigma^2) phases is
-    N(0, 2 sigma^2), so Gaussian drift averages each cross term
-    ``exp(i(theta_k - theta_l))`` to ``exp(-sigma^2)``.  None for a
-    random walk, which has no closed form.
+    A pulse whose phases carry m steps of N(0, sigma^2) per arm has an
+    N(0, 2 m sigma^2) difference between two arms, so its cross term
+    ``exp(i(theta_k - theta_l))`` averages to ``exp(-m sigma^2)``.  Over
+    a window of K pulses with m = 1..K this is D(sigma^2, K).  Gaussian
+    drift is the one-pulse window, D(sigma^2, 1) = exp(-sigma^2); the
+    random walk's window is STABILIZE_ROUNDS.
     """
-    if noise.model == "none" or noise.sigma == 0.0:
+    if noise.model == "none":
         return 1.0
-    if noise.model == "gaussian_drift":
-        return math.exp(-noise.sigma ** 2)
-    return None
+    return _window_damping(noise.sigma ** 2, _window(noise.model))
+
 
 
 # -- the experiment loop ------------------------------------------------------
 
 def _block_counts(config: InterferometerConfig, tables, block_index: int,
-                  n_rounds: int, seed: int, walk_start: np.ndarray):
-    """Simulate one block of rounds on its own substream.
+                  n_rounds: int, seed: int) -> np.ndarray:
+    """Simulate one block of rounds on its own substream; returns the cells.
 
     Only the pulses that click are drawn, and the counts keep the
-    distribution of simulating every pulse.  Returns (cells, walk_end).
-    Output depends only on the arguments, so blocks merge identically in
-    any processing order.
+    distribution of simulating every pulse.  Output depends only on the
+    arguments, so blocks merge identically in any processing order.
     """
     states, bras = tables
     d = states.shape[1]
@@ -334,8 +352,8 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
     clicked = settings[np.searchsorted(touched, clicks)]
 
     n_detected = _zero_truncated_poisson(lam, clicks.size, rng)
-    noise, walk_end = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                                  clicks, n_rounds, rng, walk_start)
+    noise = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
+                        clicks, d, rng)
 
     ij, y = np.divmod(clicked, 2)
     comps = states[ij]
@@ -357,7 +375,7 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
     hits = np.concatenate([clicked[pulse_of_photon] * d + outcome,
                            settings[np.searchsorted(touched, dark_pulse)] * d + dark_arm])
     cells = np.bincount(hits, minlength=2 * d ** 3)
-    return cells.reshape(d, d, 2, d), walk_end
+    return cells.reshape(d, d, 2, d)
 
 
 def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
@@ -380,24 +398,20 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
     tables = _protocol_tables()
     d = tables[0].shape[1]
     total_cells = np.zeros((d, d, 2, d), dtype=np.int64)
-    walk = np.zeros(d)
     for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
-        n_b = min(BLOCK_ROUNDS, rounds - start)
-        cells, walk = _block_counts(config, tables, block, n_b, seed, walk)
-        total_cells += cells
+        total_cells += _block_counts(config, tables, block,
+                                     min(BLOCK_ROUNDS, rounds - start), seed)
     return CountsTable(dim=d, cells=total_cells, seed=seed, config=config.to_dict())
 
 
-def noise_averaged_asp(config: InterferometerConfig, n_samples: int = 20000,
-                       seed: int = 0) -> float:
+def noise_averaged_asp(config: InterferometerConfig) -> float:
     """Expected ASP under the configured phase noise (no photon sampling).
 
     The protocol states are weighted by ``tau`` and renormalized, as in
-    ``simulate_counts``.  For no noise or Gaussian drift this is exact:
-    every cross term of the success probability is damped by
-    ``exp(-sigma^2)``, which gives 1/4 + exp(-sigma^2)/2 for equal
-    transmissivities.  The random walk is averaged over ``n_samples``
-    walk steps drawn from ``seed``.
+    ``simulate_counts``.  Every cross term of the success probability is
+    damped by ``_damping``, which gives 1/4 + D/2 for equal
+    transmissivities.  For the random walk this is the average over
+    whole stabilization windows.
     """
     config.validate()
     states, bras = _protocol_tables()
@@ -408,29 +422,18 @@ def noise_averaged_asp(config: InterferometerConfig, n_samples: int = 20000,
     # terms[y, ij, k]: arm k's share of the amplitude of the correct
     # outcome (i for y=1, j for y=2).
     terms = np.stack([bras[0][i], bras[1][j]]) * states
-    damping = _damping(config.phase_noise)
-    if damping is None:
-        rng = np.random.default_rng(seed)
-        noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                               np.arange(n_samples), n_samples, rng, np.zeros(d))
-        amps = np.einsum("ysk,nk->nys", terms, np.exp(1j * noise))
-        return float(np.mean(np.abs(amps) ** 2))
     diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
     full = np.abs(np.sum(terms, axis=-1)) ** 2
-    return float(np.mean(diagonal + damping * (full - diagonal)))
+    return float(np.mean(diagonal + _damping(config.phase_noise) * (full - diagonal)))
 
 
-def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int],
-                      seed: int = 0) -> float:
+def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int]) -> float:
     """Two-arm interference visibility at the first detector.
 
     Scans the relative phase between the two (1-based) arms over a full
     turn with the other arms blocked.  Without noise the fringe has
-    visibility V0 = 2 tau_k tau_l / (tau_k^2 + tau_l^2); Gaussian drift
-    scales it to exactly V0 * exp(-sigma^2).  For the random walk the
-    fringe is averaged over walk samples at each scan step (drawn from
-    ``seed``) and the visibility is the modulation depth
-    (max - min)/(max + min) of a cosine least-squares fit.
+    visibility V0 = 2 tau_k tau_l / (tau_k^2 + tau_l^2); phase noise
+    scales it to V0 * D with D from ``_damping``.
     """
     config.validate()
     k, l = arm_pair
@@ -440,42 +443,29 @@ def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int],
     norm_sq = tk * tk + tl * tl
     if norm_sq == 0.0:
         raise AllArmsBlocked("both scanned arms are blocked")
-    base_vis = 2.0 * tk * tl / norm_sq
-    damping = _damping(config.phase_noise)
-    if damping is not None:
-        return base_vis * damping
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, N_PHASE_STEPS, endpoint=False)
-    rng = np.random.default_rng(seed)
-    n_samples = N_PHASE_STEPS * SAMPLES_PER_STEP
-    noise, _ = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                           np.arange(n_samples), n_samples, rng, np.zeros(ARMS))
-    delta = (noise[:, k - 1] - noise[:, l - 1]).reshape(N_PHASE_STEPS, SAMPLES_PER_STEP)
-    fringe = np.mean(0.25 * (1.0 + base_vis * np.cos(thetas[:, None] + delta)), axis=1)
-    design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
-    c0, a, b = np.linalg.lstsq(design, fringe, rcond=None)[0]
-    return float(math.hypot(a, b) / c0)
+    return 2.0 * tk * tl / norm_sq * _damping(config.phase_noise)
 
 
 def mean_fringe_visibility(config: InterferometerConfig, seed: int = 0) -> float:
-    """Visibility averaged over the six arm pairs."""
+    """Visibility averaged over the six arm pairs.
+
+    ``seed`` is unused: the visibility is in closed form.
+    """
     pairs = itertools.combinations(range(1, ARMS + 1), 2)
-    return float(np.mean([
-        fringe_visibility(config, pair, seed=seed + idx)
-        for idx, pair in enumerate(pairs)
-    ]))
+    return float(np.mean([fringe_visibility(config, pair) for pair in pairs]))
 
 
 def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float,
                           seed: int = 0) -> float:
     """Tune the phase-noise sigma to hit a target mean fringe visibility.
 
-    Gaussian drift scales every pair's visibility by exp(-sigma^2), so
-    sigma = sqrt(ln(V0 / V)) with V0 the noiseless mean visibility.  The
-    random walk bisects on sigma in [SIGMA_LO, SIGMA_HI] with common
-    random numbers, so the simulated visibility is a smooth decreasing
-    function of sigma and the result is deterministic for a given seed.
-    A target that no sigma in that range reaches raises ConfigError.
+    The mean visibility is V0 * D(sigma^2, K) with V0 the noiseless mean
+    visibility and K the model's window, so x = sigma^2 solves
+    D(x, K) = V / V0.  With h = ln(V0 / V), D <= exp(-x) puts the root at
+    most h, and Jensen's inequality, D >= exp(-x (K+1)/2), at least
+    2h/(K+1).  Bisection on that bracket runs until the midpoint stops
+    moving; for Gaussian drift (K = 1) the bracket is the single point
+    sigma = sqrt(ln(V0 / V)).  ``seed`` is unused: the result is exact.
     """
     config.validate()
     model = config.phase_noise.model
@@ -483,36 +473,20 @@ def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float
         raise ConfigError("calibration requires a phase-noise model")
     if not 0.0 < target_visibility < 1.0:
         raise ConfigError("target visibility must lie in (0, 1)")
-
-    def vis_at(sig: float) -> float:
-        probe = replace(config, phase_noise=PhaseNoiseConfig(model, sig))
-        return mean_fringe_visibility(probe, seed=seed)
-
-    noiseless = vis_at(0.0)
+    noiseless = mean_fringe_visibility(replace(config, phase_noise=PhaseNoiseConfig()))
     if target_visibility >= noiseless:
         raise ConfigError(
             f"target visibility {target_visibility} is not below the noiseless "
             f"mean visibility {noiseless:.6g}"
         )
-    if model == "gaussian_drift":
-        return math.sqrt(math.log(noiseless / target_visibility))
-
-    lo, hi = SIGMA_LO, SIGMA_HI
-    if vis_at(lo) < target_visibility:
-        raise ConfigError(
-            f"target visibility {target_visibility} unreachable above sigma={lo}"
-        )
-    if vis_at(hi) > target_visibility:
-        raise ConfigError(
-            f"target visibility {target_visibility} unreachable below sigma={hi}"
-        )
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        v = vis_at(mid)
-        if abs(v - target_visibility) <= VISIBILITY_TOL:
-            return mid
-        if v > target_visibility:
+    k = _window(model)
+    h = math.log(noiseless / target_visibility)
+    lo, hi = 2.0 * h / (k + 1), h
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if noiseless * _window_damping(mid, k) > target_visibility:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(mid)

@@ -110,15 +110,17 @@ class TestSimulateCommand:
                     "--out", "x.csv"], tmp_path) == 3
         assert not (tmp_path / "x.csv").exists()
 
-    def test_walk_target_above_sigma_floor_exits_3(self, tmp_path):
-        # at seed 5 the walk's visibility at SIGMA_LO is already below 0.9989
+    def test_walk_visibility_target_reads_back(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"det_efficiency": 1.0,
                                    "phase_noise": {"model": "random_walk"}}))
         assert run(["simulate", "--config", str(cfg), "--seed", "5",
                     "--rounds", "5000", "--visibility-target", "0.9989",
-                    "--out", "x.csv"], tmp_path) == 3
-        assert not (tmp_path / "x.csv").exists()
+                    "--out", "x.csv"], tmp_path) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["config"]["phase_noise"]["model"] == "random_walk"
+        assert manifest["config"]["phase_noise"]["sigma"] > 0
+        assert abs(manifest["extra"]["calibrated_mean_visibility"] - 0.9989) < 1e-12
 
     @pytest.mark.parametrize("extra", [["--rounds", "0"], ["--ideal", "--rounds", "10"]],
                              ids=["zero-rounds", "ideal-too-few-rounds"])
@@ -327,6 +329,17 @@ class TestReplay:
         assert run(["replay", str(manifest)], tmp_path) == 4
         assert "cfg.json" in capsys.readouterr().err
         assert out.read_bytes() == original
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"command": ["replay", "m.json"]},
+        {"command": "simulate"},
+    ], ids=["not-an-object", "replays-itself", "command-is-a-string"])
+    def test_malformed_manifest_exits_4(self, tmp_path, capsys, doc):
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert run(["replay", "m.json"], tmp_path) == 4
+        assert "cannot replay m.json" in capsys.readouterr().err
+        assert not (tmp_path / "counts.csv").exists()
 
 
 class TestEntryPoint:

@@ -6,7 +6,6 @@ from mubcert.linalg import (
     eig_hermitian,
     is_hermitian,
     is_psd,
-    is_unitary,
     operator_norm,
     psd_sqrt,
     validate_povm,
@@ -129,10 +128,5 @@ class TestValidatePovm:
 
 
 class TestPredicates:
-    def test_is_unitary(self):
-        rng = np.random.default_rng(2)
-        assert is_unitary(random_unitary(4, rng), tol=1e-9)
-        assert not is_unitary(np.diag([1.0, 2.0]), tol=1e-9)
-
     def test_is_psd_rejects_non_hermitian(self):
         assert not is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))

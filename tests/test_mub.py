@@ -20,7 +20,6 @@ from mubcert.mub import (
     overlap_entropy,
     overlap_matrix,
     random_unitary,
-    rotated_pair,
 )
 
 
@@ -169,7 +168,11 @@ class TestMaxSqrtOverlap:
         base = max_sqrt_overlap(d4_pair)
         for _ in range(3):
             u = random_unitary(4, rng)
-            assert abs(max_sqrt_overlap(rotated_pair(d4_pair, u)) - base) < 1e-10
+            first, second = (
+                Measurement(dim=4, effects=np.einsum("ab,kbc,dc->kad", u, m.effects, u.conj()))
+                for m in (d4_pair.first, d4_pair.second))
+            rotated = MubPair(first=first, second=second)
+            assert abs(max_sqrt_overlap(rotated) - base) < 1e-10
 
 
 class TestOverlapDistribution:

@@ -1,11 +1,14 @@
-"""Property tests: counts CSV round trip, config validation, bound slopes.
+"""Property tests: counts CSV round trip, config validation, bound slopes,
+phase-noise calibration.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 draws the same examples and the suite stays deterministic.
 """
 
+import itertools
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,14 @@ from mubcert.certify import (
 )
 from mubcert.counts import CountsTable, read_counts_csv, write_counts_csv
 from mubcert.errors import ConfigError
-from mubcert.photonics import NOISE_MODELS, InterferometerConfig
+from mubcert.photonics import (
+    NOISE_MODELS,
+    InterferometerConfig,
+    PhaseNoiseConfig,
+    calibrate_drift_sigma,
+    fringe_visibility,
+    mean_fringe_visibility,
+)
 from mubcert.qrac import quantum_optimum
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -92,3 +102,27 @@ def test_slope_matches_central_difference(bound_id, d, frac):
     central = abs(above - below) / (2.0 * h)
     assert propagate_error(bound_id, p, 1.0, d) == pytest.approx(
         central, rel=1e-5, abs=1e-7)
+
+
+NOISY_MODELS = ("gaussian_drift", "random_walk")
+TAUS = st.tuples(*[st.floats(0.01, 1.0)] * 4)
+
+
+@PROPERTY
+@given(model=st.sampled_from(NOISY_MODELS), tau=TAUS, frac=st.floats(0.01, 0.9999))
+def test_calibration_reads_its_target_back(model, tau, frac):
+    cfg = replace(InterferometerConfig(), tau=tau, phase_noise=PhaseNoiseConfig(model))
+    target = frac * mean_fringe_visibility(cfg)
+    assume(target < 1.0)
+    sigma = calibrate_drift_sigma(cfg, target)
+    calibrated = replace(cfg, phase_noise=PhaseNoiseConfig(model, sigma))
+    assert mean_fringe_visibility(calibrated) == pytest.approx(target, abs=1e-12)
+
+
+@PROPERTY
+@given(model=st.sampled_from(NOISY_MODELS), tau=TAUS, sigma=st.floats(0.0, 10.0),
+       pair=st.sampled_from(list(itertools.combinations(range(1, 5), 2))))
+def test_fringe_visibility_never_exceeds_noiseless(model, tau, sigma, pair):
+    tk, tl = tau[pair[0] - 1], tau[pair[1] - 1]
+    cfg = replace(InterferometerConfig(), tau=tau, phase_noise=PhaseNoiseConfig(model, sigma))
+    assert 0.0 <= fringe_visibility(cfg, pair) <= 2.0 * tk * tl / (tk * tk + tl * tl)
