@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -115,7 +116,7 @@ def bound_entropic(p: float, d: int) -> float:
     return min(max(value, 0.0), math.log2(d))
 
 
-def bound_incompatibility(norm_lower: float, smax_upper: float, d: int) -> float:
+def bound_incompatibility(norm_lower: float, smax: float, d: int) -> float:
     """Upper bound on the incompatibility robustness from certified extremes.
 
     Evaluated at the norm sum's certified lower bound and the overlap's
@@ -129,7 +130,7 @@ def bound_incompatibility(norm_lower: float, smax_upper: float, d: int) -> float
         raise DenominatorNonpositive(
             f"incompatibility bound undefined at norm lower bound {n:.6f}"
         )
-    num = 0.5 * d * d * (1.0 + smax_upper) - n * n / d
+    num = 0.5 * d * d * (1.0 + smax) - n * n / d
     return min(num / den, 1.0)
 
 
@@ -184,6 +185,25 @@ _BOUNDS = {
     "entropic": (bound_entropic, _slope_entropic,
                  lambda d: (0.5, quantum_optimum(d))),
 }
+
+
+# One row per reported quantity, in output order: the CertificateReport
+# field and JSON key, the applicability key (the _BOUNDS id, or
+# "incompatibility" for the derived eta), the ideal_refs key, the table
+# label, direction and unit, and the value for an exact MUB pair.
+_Row = namedtuple("_Row", "attr key ref label op unit mub")
+_REPORT = (
+    _Row("hs_lower", "hs", "hs", "overlap entropy", ">=", "bits",
+         lambda d: 2.0 * math.log2(d)),
+    _Row("norm_sum_lower", "norm_sum", "norm", "norm sum", ">=", "", float),
+    _Row("smax_upper", "smax", None, "sqrt overlap", "<=", "",
+         lambda d: 1.0 / math.sqrt(d)),
+    _Row("incompat_upper", "incompatibility", "eta", "incompatibility", "<=", "",
+         mub_incompat_value),
+    _Row("entropic_lower", "entropic", "entropy", "entropy sum", ">=", "bits", math.log2),
+)
+# the bounds that can be clamped to 0 bits, as their warnings name them
+_CLAMPED_NAMES = {"hs": "overlap-entropy", "entropic": "entropic"}
 
 
 def propagate_error(bound_id: str, p: float, sigma: float, d: int) -> float:
@@ -250,24 +270,18 @@ class CertificateReport:
     ideal_refs: dict
     warnings: list = field(default_factory=list)
 
+    def bounds(self) -> list[BoundResult]:
+        """The five bound results, in report order."""
+        return [getattr(self, row.attr) for row in _REPORT]
+
     def applicability(self) -> dict:
-        return {
-            "hs": self.hs_lower.reason,
-            "norm_sum": self.norm_sum_lower.reason,
-            "smax": self.smax_upper.reason,
-            "incompatibility": self.incompat_upper.reason,
-            "entropic": self.entropic_lower.reason,
-        }
+        return {row.key: bound.reason for row, bound in zip(_REPORT, self.bounds())}
 
     def as_dict(self) -> dict:
         return {
             "d": self.d,
             "asp": {"value": self.asp.value, "sigma": self.asp.sigma},
-            "hs_lower": self.hs_lower.as_dict(),
-            "norm_sum_lower": self.norm_sum_lower.as_dict(),
-            "smax_upper": self.smax_upper.as_dict(),
-            "incompat_upper": self.incompat_upper.as_dict(),
-            "entropic_lower": self.entropic_lower.as_dict(),
+            **{row.attr: bound.as_dict() for row, bound in zip(_REPORT, self.bounds())},
             "ideal_refs": self.ideal_refs,
             "applicability": self.applicability(),
             "warnings": list(self.warnings),
@@ -291,12 +305,7 @@ def full_certificate(asp: AspEstimate, d: int) -> CertificateReport:
     """
     _check_dim(d)
     pq = quantum_optimum(d)
-    ideal_refs = {
-        "hs": 2.0 * math.log2(d),
-        "norm": float(d),
-        "eta": mub_incompat_value(d),
-        "entropy": math.log2(d),
-    }
+    ideal_refs = {row.ref: row.mub(d) for row in _REPORT if row.ref is not None}
     warnings: list[str] = []
     p = asp.value
     sigma = asp.sigma
@@ -317,32 +326,27 @@ def full_certificate(asp: AspEstimate, d: int) -> CertificateReport:
     if p <= 0.5:
         reason_all = f"ASP {p:.6g} at or below the classical midpoint 1/2"
 
-    if reason_all is not None:
-        absent = _inapplicable(reason_all)
+    def report(results: dict) -> CertificateReport:
         return CertificateReport(
-            d=d, asp=asp,
-            hs_lower=absent, norm_sum_lower=absent, smax_upper=absent,
-            incompat_upper=absent, entropic_lower=absent,
-            ideal_refs=ideal_refs, warnings=warnings,
+            d=d, asp=asp, ideal_refs=ideal_refs, warnings=warnings,
+            **{row.attr: results[row.key] for row in _REPORT},
         )
 
-    def evaluate(bound_id: str) -> BoundResult:
+    if reason_all is not None:
+        return report({row.key: _inapplicable(reason_all) for row in _REPORT})
+
+    results = {}
+    for bound_id, (f, _, _) in _BOUNDS.items():
         try:
-            value = _BOUNDS[bound_id][0](p, d)
-            err = propagate_error(bound_id, p, sigma, d)
+            result = BoundResult(value=f(p, d), applicable=True,
+                                 sigma=propagate_error(bound_id, p, sigma, d))
         except (OutOfRange, BelowThreshold, BoundInapplicableInWindow) as exc:
-            return _inapplicable(str(exc))
-        return BoundResult(value=value, sigma=err, applicable=True)
+            result = _inapplicable(str(exc))
+        results[bound_id] = result
+        if result.value == 0.0:
+            warnings.append(f"{_CLAMPED_NAMES[bound_id]} bound clamped to 0 bits")
 
-    hs = evaluate("hs")
-    if hs.applicable and hs.value == 0.0:
-        warnings.append("overlap-entropy bound clamped to 0 bits")
-    norm = evaluate("norm_sum")
-    smax = evaluate("smax")
-    entropic = evaluate("entropic")
-    if entropic.applicable and entropic.value == 0.0:
-        warnings.append("entropic bound clamped to 0 bits")
-
+    norm, smax = results["norm_sum"], results["smax"]
     if norm.applicable and smax.applicable:
         try:
             eta_value = bound_incompatibility(norm.value, smax.value, d)
@@ -355,16 +359,9 @@ def full_certificate(asp: AspEstimate, d: int) -> CertificateReport:
             # chain, so its propagated error is reported for this bound
             eta = BoundResult(value=eta_value, sigma=smax.sigma, applicable=True)
     else:
-        eta = _inapplicable(
-            norm.reason if not norm.applicable else smax.reason
-        )
-
-    return CertificateReport(
-        d=d, asp=asp,
-        hs_lower=hs, norm_sum_lower=norm, smax_upper=smax,
-        incompat_upper=eta, entropic_lower=entropic,
-        ideal_refs=ideal_refs, warnings=warnings,
-    )
+        eta = _inapplicable(norm.reason if not norm.applicable else smax.reason)
+    results["incompatibility"] = eta
+    return report(results)
 
 
 def min_asp_for_nontrivial_eta(d: int) -> float:
@@ -402,26 +399,20 @@ def min_asp_for_nontrivial_eta(d: int) -> float:
 def report_table(report: CertificateReport) -> str:
     """Human-readable comparison of each bound to its ideal MUB value."""
     pq = quantum_optimum(report.d)
-    rows = [
-        ("overlap entropy", ">=", report.hs_lower, report.ideal_refs["hs"], "bits"),
-        ("norm sum       ", ">=", report.norm_sum_lower, report.ideal_refs["norm"], ""),
-        ("sqrt overlap   ", "<=", report.smax_upper, 1.0 / math.sqrt(report.d), ""),
-        ("incompatibility", "<=", report.incompat_upper, report.ideal_refs["eta"], ""),
-        ("entropy sum    ", ">=", report.entropic_lower, report.ideal_refs["entropy"], "bits"),
-    ]
     lines = [
         f"certificate for d={report.d}, "
         f"ASP = {report.asp.value:.6g} +/- {report.asp.sigma:.3g} "
         f"(quantum optimum {pq:.6g})",
     ]
-    for label, op, bound, ideal, unit in rows:
+    for row, bound in zip(_REPORT, report.bounds()):
         if bound.applicable:
+            unit = " " + row.unit if row.unit else ""
             lines.append(
-                f"  {label} {op} {bound.value:<10.6g} +/- {bound.sigma:<10.3g} "
-                f"(ideal MUB value {ideal:.6g}{' ' + unit if unit else ''})"
+                f"  {row.label:<15} {row.op} {bound.value:<10.6g} +/- {bound.sigma:<10.3g} "
+                f"(ideal MUB value {row.mub(report.d):.6g}{unit})"
             )
         else:
-            lines.append(f"  {label}    inapplicable: {bound.reason}")
+            lines.append(f"  {row.label:<15}    inapplicable: {bound.reason}")
     for w in report.warnings:
         lines.append(f"  note: {w}")
     return "\n".join(lines)

@@ -104,11 +104,13 @@ def _fresh_seed() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = [args.subcommand] + list(argv if argv is not None else sys.argv[1:])[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args, command)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 on --help and --version, 2 on bad argv
+        return EXIT_OK if not exc.code else EXIT_ARGS
+    try:
+        return args.func(args, [args.subcommand] + argv[1:])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -217,6 +219,9 @@ def cmd_simulate(args, command) -> int:
     if args.rounds is not None and args.rounds <= 0:
         print("error: --rounds must be positive", file=sys.stderr)
         return EXIT_ARGS
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return EXIT_ARGS
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -225,7 +230,6 @@ def cmd_simulate(args, command) -> int:
         config = InterferometerConfig.from_dict(doc)
     else:
         config = InterferometerConfig()
-    config.validate()
 
     if args.seed is None:
         seed = _fresh_seed()
@@ -307,9 +311,7 @@ def cmd_certify(args, command) -> int:
         return EXIT_DATA
 
     report = full_certificate(est, d)
-    bounds = (report.hs_lower, report.norm_sum_lower, report.smax_upper,
-              report.incompat_upper, report.entropic_lower)
-    if not all(math.isfinite(b.sigma) for b in bounds if b.applicable):
+    if not all(math.isfinite(b.sigma) for b in report.bounds() if b.applicable):
         print(f"data error: sigma {est.sigma} propagates to a non-finite bound sigma",
               file=sys.stderr)
         return EXIT_DATA
@@ -375,7 +377,11 @@ def cmd_replay(args, command) -> int:
         argv = doc.get("command")
         if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
             raise ValueError("its command is not a non-empty list of strings")
-        if argv[0] == "replay":
+        try:
+            replayed = build_parser().parse_args(argv)
+        except SystemExit:
+            raise ValueError("its command is not a valid command") from None
+        if replayed.subcommand == "replay":
             raise ValueError("its command is itself a replay")
         digests = doc.get("input_sha256", {})
         if not isinstance(digests, dict):
@@ -388,7 +394,7 @@ def cmd_replay(args, command) -> int:
         print(f"data error: cannot replay {args.manifest}: input {changed[0]} "
               "changed since the run (sha256 mismatch)", file=sys.stderr)
         return EXIT_DATA
-    return main(argv)
+    return replayed.func(replayed, [replayed.subcommand] + argv[1:])
 
 
 if __name__ == "__main__":

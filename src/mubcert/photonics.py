@@ -128,6 +128,8 @@ class InterferometerConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InterferometerConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         known = {
             "d", "mu", "det_efficiency", "rep_rate", "integration_time",
             "phase_noise", "tau", "dark_count_prob",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -254,6 +255,29 @@ class TestFullCertificate:
     def test_table_renders(self):
         text = report_table(full_certificate(AspEstimate(0.70, 0.001), 4))
         assert "inapplicable" in text and "overlap entropy" in text
+
+
+class TestCertificateBytes:
+    # sha256 of to_json() and report_table() over d = 2..8, with the ASP at
+    # 1/2, between 1/2 and the norm-sum threshold, at the threshold, a
+    # quarter of the way from it to the optimum, at the optimum and 2 and 4
+    # sigma above it, for sigma = 0 and 1e-3.  Between them these reach every
+    # warning and every kind of inapplicable bound.  The digest changes only
+    # when the certificate's output is meant to change.
+    DIGEST = "6be1f95e504d9f7b985a7f1e35901bce99b756fbba3a304e5796a5181377ee85"
+
+    def test_output_is_pinned(self):
+        digest = hashlib.sha256()
+        for d in range(2, 9):
+            threshold, optimum = norm_sum_threshold(d), float(quantum_optimum(d))
+            for sigma in (0.0, 1e-3):
+                for p in (0.5, 0.5 * (0.5 + threshold), threshold,
+                          threshold + 0.25 * (optimum - threshold), optimum,
+                          optimum + 2 * sigma, optimum + 4 * sigma):
+                    report = full_certificate(AspEstimate(p, sigma), d)
+                    digest.update(report.to_json().encode())
+                    digest.update(report_table(report).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestMinAspForNontrivialEta:

@@ -48,9 +48,7 @@ class TestMubCommand:
         assert run(["mub", "--construction", "fourier", "--d", "1"], tmp_path) == 2
 
     def test_unknown_construction_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["mub", "--construction", "bogus"], tmp_path)
-        assert exc.value.code == 2
+        assert run(["mub", "--construction", "bogus"], tmp_path) == 2
 
 
 class TestSimulateCommand:
@@ -126,6 +124,21 @@ class TestSimulateCommand:
                              ids=["zero-rounds", "ideal-too-few-rounds"])
     def test_unusable_rounds_exit_2(self, tmp_path, extra):
         assert run(["simulate", "--seed", "1", "--out", "x.csv"] + extra, tmp_path) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--ideal"], ["--visibility-target", "0.9"]],
+                             ids=["monte-carlo", "ideal", "visibility-target"])
+    def test_negative_seed_exits_2(self, tmp_path, mode):
+        assert run(["simulate", "--seed", "-1", "--rounds", "5000", "--out", "x.csv"] + mode,
+                   tmp_path) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ["5", "null", '"abc"'], ids=["number", "null", "string"])
+    def test_non_object_config_exits_3(self, tmp_path, capsys, text):
+        (tmp_path / "cfg.json").write_text(text)
+        assert run(["simulate", "--config", "cfg.json", "--seed", "1", "--rounds", "5000",
+                    "--out", "x.csv"], tmp_path) == 3
+        assert "config must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_ideal_conflicts_with_visibility_target(self, tmp_path):
@@ -334,7 +347,8 @@ class TestReplay:
         [],
         {"command": ["replay", "m.json"]},
         {"command": "simulate"},
-    ], ids=["not-an-object", "replays-itself", "command-is-a-string"])
+        {"command": ["bogus"]},
+    ], ids=["not-an-object", "replays-itself", "command-is-a-string", "no-subcommand"])
     def test_malformed_manifest_exits_4(self, tmp_path, capsys, doc):
         (tmp_path / "m.json").write_text(json.dumps(doc))
         assert run(["replay", "m.json"], tmp_path) == 4
@@ -359,7 +373,6 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert "certificate" in result.stdout
 
-    def test_version_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
+    def test_version_flag(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"mubcert {mubcert.__version__}\n"

@@ -9,6 +9,7 @@ from mubcert.counts import write_counts_csv
 from mubcert.errors import AllArmsBlocked, ConfigError
 from mubcert.mub import HADAMARD4, hadamard_mub_pair_d4, is_mutually_unbiased, MubPair, Measurement
 from mubcert.photonics import (
+    BLOCK_ROUNDS,
     STABILIZE_ROUNDS,
     InterferometerConfig,
     PhaseNoiseConfig,
@@ -396,6 +397,19 @@ class TestWalkClosedForm:
         assert abs(per_window.mean() - damping) < 5 * per_window.std() / math.sqrt(windows)
         # exp(-sigma^2) is the one-pulse window, far from a full window's D
         assert damping < math.exp(-sigma ** 2) - 0.05
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_event_after_restart_carries_offset_plus_one_steps(self, offset):
+        # the pulse t pulses after a restart carries t + 1 steps, so its
+        # phase has variance (t + 1) sigma^2 in every arm
+        sigma = 0.03
+        events = np.arange(offset, BLOCK_ROUNDS, STABILIZE_ROUNDS)
+        ratios = np.concatenate([
+            (_draw_noise("random_walk", sigma, events, 4, np.random.default_rng(seed))
+             / sigma).ravel() ** 2
+            for seed in range(8)])
+        se = ratios.std() / math.sqrt(ratios.size)
+        assert abs(ratios.mean() - (offset + 1)) < 5 * se
 
     def test_simulated_asp_matches_noise_averaged_asp(self):
         # clicks in one window share its walk, so est.sigma understates

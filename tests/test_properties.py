@@ -1,12 +1,14 @@
 """Property tests: counts CSV round trip, config validation, bound slopes,
-phase-noise calibration.
+phase-noise calibration, CLI exit codes.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 draws the same examples and the suite stays deterministic.
 """
 
 import itertools
+import json
 import math
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +27,7 @@ from mubcert.certify import (
     norm_sum_threshold,
     propagate_error,
 )
+from mubcert.cli import main
 from mubcert.counts import CountsTable, read_counts_csv, write_counts_csv
 from mubcert.errors import ConfigError
 from mubcert.photonics import (
@@ -33,6 +36,7 @@ from mubcert.photonics import (
     PhaseNoiseConfig,
     calibrate_drift_sigma,
     fringe_visibility,
+    ideal_expected_counts,
     mean_fringe_visibility,
 )
 from mubcert.qrac import quantum_optimum
@@ -126,3 +130,45 @@ def test_fringe_visibility_never_exceeds_noiseless(model, tau, sigma, pair):
     tk, tl = tau[pair[0] - 1], tau[pair[1] - 1]
     cfg = replace(InterferometerConfig(), tau=tau, phase_noise=PhaseNoiseConfig(model, sigma))
     assert 0.0 <= fringe_visibility(cfg, pair) <= 2.0 * tk * tl / (tk * tk + tl * tl)
+
+
+# Files every CLI example finds in its working directory.
+CLI_FILES = {
+    "five.json": "5",
+    "null.json": "null",
+    "blind.json": json.dumps({"det_efficiency": 0}),
+    "dim.json": json.dumps({"mu": 1e-300}),
+    "m.json": json.dumps({"command": ["bogus"]}),
+}
+SUBCOMMANDS = ("mub", "simulate", "certify", "figure-data", "replay")
+CLI_TOKENS = SUBCOMMANDS + (
+    "--construction", "hadamard-d4", "fourier", "--d", "--out", "--config", "--seed",
+    "--rounds=10000", "--ideal", "--visibility-target", "--counts", "--asp", "--sigma",
+    "--out-prefix", "--version", "--help",
+    "0", "-1", "2", "4", "8", "0.75", "0.9", "nan", "inf", "abc",
+    "counts.csv", *CLI_FILES,
+)
+CLI_TOKEN = st.sampled_from(CLI_TOKENS)
+CLI_ARGV = (st.builds(lambda sub, rest: [sub, *rest], st.sampled_from(SUBCOMMANDS),
+                      st.lists(CLI_TOKEN, max_size=8))
+            | st.lists(CLI_TOKEN, max_size=4))
+
+
+# Numbers are at most 8 (a `mub --d` that stays small) except `--rounds=10000`,
+# and every example runs in a fresh directory, so outputs stay out of the tree.
+@settings(PROPERTY, max_examples=150)
+@given(argv=CLI_ARGV)
+def test_cli_returns_an_exit_code_and_never_raises(argv):
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CLI_FILES.items():
+            Path(tmp, name).write_text(text)
+        write_counts_csv(ideal_expected_counts(1000), Path(tmp, "counts.csv"))
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"main raised SystemExit({exc.code})") from exc
+        finally:
+            os.chdir(old)
+    assert code in (0, 2, 3, 4)
