@@ -253,8 +253,6 @@ def cmd_simulate(args, command) -> int:
         except ValueError as exc:
             print(f"error: --rounds: {exc}", file=sys.stderr)
             return EXIT_ARGS
-        table.seed = seed
-        table.config = config.to_dict()
         extra["mode"] = "ideal"
     else:
         table = simulate_counts(config, rounds=args.rounds, seed=seed)

@@ -9,7 +9,7 @@ must hold each of the 2*d^3 cells exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,12 @@ class CountsTable:
     """Detection counts indexed by (i, j, y, outcome), all 1-based outside.
 
     ``cells[i-1, j-1, y-1, b-1]`` holds the count for input dits ``(i, j)``,
-    measurement choice ``y`` and outcome ``b``.  ``seed`` and ``config``
-    carry provenance; they live in the run manifest, not in the CSV.
+    measurement choice ``y`` and outcome ``b``.  Provenance (seed,
+    config) lives in the run manifest.
     """
 
     dim: int
     cells: np.ndarray  # shape (d, d, 2, d), nonnegative integers
-    seed: int | None = None
-    config: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.int64)
@@ -44,8 +42,8 @@ class CountsTable:
             raise CountsFormatError("negative counts are not allowed")
 
     @classmethod
-    def zeros(cls, dim: int, **kwargs) -> "CountsTable":
-        return cls(dim=dim, cells=np.zeros((dim, dim, 2, dim), dtype=np.int64), **kwargs)
+    def zeros(cls, dim: int) -> "CountsTable":
+        return cls(dim=dim, cells=np.zeros((dim, dim, 2, dim), dtype=np.int64))
 
     def setting_totals(self) -> np.ndarray:
         """Total detections per (i, j, y) setting, shape (d, d, 2)."""

@@ -63,9 +63,5 @@ class BoundInapplicableInWindow(MubCertError):
 
 # -- interferometer simulation ----------------------------------------------
 
-class AllArmsBlocked(MubCertError):
-    """Every arm transmissivity is zero; no state can be prepared."""
-
-
 class ConfigError(MubCertError):
     """Interferometer configuration failed validation."""

@@ -1,13 +1,16 @@
-"""Monte Carlo model of the four-arm multi-core-fiber interferometer.
+"""Monte Carlo model of the multi-core-fiber interferometer.
 
-The preparation side shapes a path-encoded ququart with per-arm
-transmissivities and phases; the measurement side applies per-arm phases
-and a balanced four-port splitter, and a click in output path k is
-outcome k.  The protocol runs on the Hadamard MUB pair: every pulse
-carries one of the pair's optimal QRAC encodings, its arm amplitudes
-scaled by the transmissivities ``tau`` and renormalized, measured in the
-basis that Bob's input selects, with phase noise added to the
-preparation phases.  The source emits Poissonian photon numbers (mean
+The device is read from one MUB pair (``_protocol_tables``): its
+dimension d is the number of arms and output paths, its first basis is
+the balanced splitter, and its optimal QRAC encodings are the prepared
+states.  The pair is the Hadamard ququart pair, so the model is the
+four-arm device.  The preparation side shapes a path-encoded state with
+per-arm transmissivities and phases; the measurement side applies
+per-arm phases and the splitter, and a click in output path k is
+outcome k.  Every pulse carries one of the pair's encodings, its arm
+amplitudes scaled by the transmissivities ``tau`` and renormalized,
+measured in the basis that Bob's input selects, with phase noise added
+to the preparation phases.  The source emits Poissonian photon numbers (mean
 ``mu`` per pulse), detectors register each photon independently with a
 fixed efficiency, and optional dark counts fire per gate.  Thinning the
 Poisson source leaves Poisson(mu * det_efficiency) detected photons per
@@ -17,7 +20,9 @@ photon numbers and phase noise only for those pulses, and its work grows
 with detections rather than pulses.  Both phase-noise models damp every
 two-arm interference term by one closed-form factor (see ``_damping``),
 so fringe visibility, expected ASP and calibration to a target
-visibility are exact for every model.
+visibility are exact for every model; ``expected_outcome_probabilities``
+is the one Born-rule table behind the expected figures.  The config's
+keys, defaults and JSON types are those of its dataclasses.
 Everything is deterministic given the master seed; ``SAMPLER_VERSION``
 names the byte stream a seed produces.
 """
@@ -27,16 +32,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .counts import CountsTable
-from .errors import AllArmsBlocked, ConfigError, DimensionMismatch
-from .mub import HADAMARD4, hadamard_mub_pair_d4
+from .errors import ConfigError, DimensionMismatch
+from .mub import hadamard_mub_pair_d4
 from .qrac import optimal_states
 
-ARMS = 4
 NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
@@ -88,8 +92,10 @@ class InterferometerConfig:
     dark_count_prob: float = 0.0
 
     def validate(self) -> None:
-        if self.d != ARMS:
-            raise ConfigError(f"the interferometer model is fixed at d=4, got {self.d}")
+        states, _ = _protocol_tables()
+        d = states.shape[1]
+        if self.d != d:
+            raise ConfigError(f"the simulated MUB pair has d={d}, got d={self.d}")
         numbers = (self.mu, self.det_efficiency, self.rep_rate,
                    self.integration_time, self.dark_count_prob, *self.tau)
         if not all(math.isfinite(v) for v in numbers):
@@ -102,9 +108,9 @@ class InterferometerConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.rep_rate <= 0.0 or self.integration_time <= 0.0:
             raise ConfigError("rep_rate and integration_time must be positive")
-        if len(self.tau) != ARMS or any(not 0.0 <= t <= 1.0 for t in self.tau):
-            raise ConfigError("tau must be 4 transmissivities in [0, 1]")
-        if not (np.abs(_protocol_tables()[0]) @ np.asarray(self.tau)).all():
+        if len(self.tau) != d or any(not 0.0 <= t <= 1.0 for t in self.tau):
+            raise ConfigError(f"tau must be {d} transmissivities in [0, 1]")
+        if not (np.abs(states) @ np.asarray(self.tau)).all():
             raise ConfigError("tau blocks every arm of a protocol state")
         self.phase_noise.validate()
 
@@ -112,64 +118,51 @@ class InterferometerConfig:
         return int(round(self.rep_rate * self.integration_time))
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "mu": self.mu,
-            "det_efficiency": self.det_efficiency,
-            "rep_rate": self.rep_rate,
-            "integration_time": self.integration_time,
-            "phase_noise": {
-                "model": self.phase_noise.model,
-                "sigma": self.phase_noise.sigma,
-            },
-            "tau": list(self.tau),
-            "dark_count_prob": self.dark_count_prob,
-        }
+        return {**asdict(self), "tau": list(self.tau)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InterferometerConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {
-            "d", "mu", "det_efficiency", "rep_rate", "integration_time",
-            "phase_noise", "tau", "dark_count_prob",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        noise_doc = doc.get("phase_noise", {})
-        if not isinstance(noise_doc, dict):
-            raise ConfigError("phase_noise must be an object")
-        try:
-            cfg = cls(
-                d=int(doc.get("d", 4)),
-                mu=float(doc.get("mu", 0.2)),
-                det_efficiency=float(doc.get("det_efficiency", 0.10)),
-                rep_rate=float(doc.get("rep_rate", 2.0e6)),
-                integration_time=float(doc.get("integration_time", 1.0)),
-                phase_noise=PhaseNoiseConfig(
-                    model=str(noise_doc.get("model", "none")),
-                    sigma=float(noise_doc.get("sigma", 0.0)),
-                ),
-                tau=tuple(float(t) for t in doc.get("tau", (1.0,) * ARMS)),
-                dark_count_prob=float(doc.get("dark_count_prob", 0.0)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ConfigError(f"bad config value: {exc}") from exc
+        cfg = _from_json(cls, doc, "config")
         cfg.validate()
         return cfg
 
 
-def prepare_state(tau, phi_a) -> np.ndarray:
-    """Path-encoded ququart ``sum_k tau_k exp(i phi_k) |k>``, normalized."""
-    t = np.asarray(tau, dtype=float)
-    phi = np.asarray(phi_a, dtype=float)
-    if t.shape != (ARMS,) or phi.shape != (ARMS,):
-        raise DimensionMismatch("tau and phi_a must each have 4 entries")
-    norm_sq = float(np.sum(t * t))
-    if norm_sq == 0.0:
-        raise AllArmsBlocked("all transmissivities are zero")
-    return t * np.exp(1j * phi) / math.sqrt(norm_sq)
+def _from_json(cls, doc, where: str):
+    """Build dataclass ``cls`` from a JSON object, typed by its defaults.
+
+    A key absent from ``doc`` keeps its default.  A value must have its
+    default's JSON type: an integer for an int, a number (not a boolean)
+    for a float, stored as float, a list of numbers for a tuple, a string
+    for a str, and an object for a nested dataclass.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    default = cls()
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return replace(default, **{name: _json_value(getattr(default, name), value, name)
+                               for name, value in doc.items()})
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _json_value(default, value, name: str):
+    if is_dataclass(default):
+        return _from_json(type(default), value, name)
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        return tuple(_json_value(default[0], v, name) for v in value)
+    if isinstance(default, float) and type(value) in (int, float):  # not bool
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{name} is out of range") from exc
+    if type(value) is not type(default):
+        raise ConfigError(f"{name} must be {_JSON_TYPES[type(default)]}, got {value!r}")
+    return value
 
 
 def measurement_unitary(phi_b) -> np.ndarray:
@@ -177,23 +170,24 @@ def measurement_unitary(phi_b) -> np.ndarray:
 
     The per-arm phases act on the input modes before the splitter, so the
     matrix is the splitter times a diagonal phase layer; row k is the bra
-    of the analysis state for outcome k.  With all phases zero the rows
-    are the first MUB basis; with the first phase at pi they are the
-    second.
+    of the analysis state for outcome k.  The splitter is the pair's
+    first basis: with all phases zero the rows are its bras.  For the
+    Hadamard pair, the first phase at pi gives the second basis.
     """
+    splitter = _protocol_tables()[1][0]
     phi = np.asarray(phi_b, dtype=float)
-    if phi.shape != (ARMS,):
-        raise DimensionMismatch("phi_b must have 4 entries")
-    return HADAMARD4.astype(complex) @ np.diag(np.exp(-1j * phi))
+    if phi.shape != splitter.shape[1:]:
+        raise DimensionMismatch(f"phi_b must have {splitter.shape[1]} entries")
+    return splitter * np.exp(-1j * phi)
 
 
 def detection_probabilities(state, phi_b) -> np.ndarray:
     """Click probabilities per output path for a normalized input state."""
+    unitary = measurement_unitary(phi_b)
     psi = np.asarray(state, dtype=complex)
-    if psi.shape != (ARMS,):
-        raise DimensionMismatch("state must have 4 entries")
-    amps = measurement_unitary(phi_b) @ psi
-    return np.abs(amps) ** 2
+    if psi.shape != unitary.shape[1:]:
+        raise DimensionMismatch(f"state must have {unitary.shape[1]} entries")
+    return np.abs(unitary @ psi) ** 2
 
 
 def sample_source(mu: float, rng: np.random.Generator, size=None):
@@ -224,10 +218,26 @@ def _protocol_tables() -> tuple[np.ndarray, np.ndarray]:
     return states, bras
 
 
-def expected_outcome_probabilities() -> np.ndarray:
-    """Noiseless click probabilities, shape (d*d, 2, d) indexed by (ij, y-1, b-1)."""
+def expected_outcome_probabilities(config: InterferometerConfig | None = None) -> np.ndarray:
+    """Expected click probabilities, shape (d*d, 2, d) indexed by (ij, y-1, b-1).
+
+    The protocol states are weighted by the config's ``tau`` and
+    renormalized, as in ``simulate_counts``, and every two-arm cross term
+    of the Born rule is damped by ``_damping``.  For the random walk this
+    is the average over whole stabilization windows.  Without a config
+    the table is the balanced, noiseless one of the default config.
+    """
+    if config is None:
+        config = InterferometerConfig()
+    config.validate()
     states, bras = _protocol_tables()
-    return np.abs(np.einsum("ybk,sk->syb", bras, states)) ** 2
+    states = states * np.asarray(config.tau)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    # terms[ij, y, b, k]: arm k's share of the amplitude of outcome b
+    terms = np.einsum("ybk,sk->sybk", bras, states)
+    diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
+    full = np.abs(np.sum(terms, axis=-1)) ** 2
+    return diagonal + _damping(config.phase_noise) * (full - diagonal)
 
 
 def ideal_expected_counts(total: int) -> CountsTable:
@@ -403,30 +413,21 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
     for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
         total_cells += _block_counts(config, tables, block,
                                      min(BLOCK_ROUNDS, rounds - start), seed)
-    return CountsTable(dim=d, cells=total_cells, seed=seed, config=config.to_dict())
+    return CountsTable(dim=d, cells=total_cells)
 
 
 def noise_averaged_asp(config: InterferometerConfig) -> float:
-    """Expected ASP under the configured phase noise (no photon sampling).
+    """Expected ASP under the configured noise and ``tau`` (no photon sampling).
 
-    The protocol states are weighted by ``tau`` and renormalized, as in
-    ``simulate_counts``.  Every cross term of the success probability is
-    damped by ``_damping``, which gives 1/4 + D/2 for equal
-    transmissivities.  For the random walk this is the average over
-    whole stabilization windows.
+    The mean over settings of the correct outcome's entry of
+    ``expected_outcome_probabilities``: outcome i for y=1 and j for y=2.
+    This is 1/4 + D/2 for equal transmissivities.
     """
-    config.validate()
-    states, bras = _protocol_tables()
-    states = states * np.asarray(config.tau)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    d = states.shape[1]
-    i, j = np.divmod(np.arange(d * d), d)
-    # terms[y, ij, k]: arm k's share of the amplitude of the correct
-    # outcome (i for y=1, j for y=2).
-    terms = np.stack([bras[0][i], bras[1][j]]) * states
-    diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
-    full = np.abs(np.sum(terms, axis=-1)) ** 2
-    return float(np.mean(diagonal + _damping(config.phase_noise) * (full - diagonal)))
+    probs = expected_outcome_probabilities(config)
+    d = probs.shape[-1]
+    ij = np.arange(d * d)
+    i, j = np.divmod(ij, d)
+    return float(np.mean(np.stack([probs[ij, 0, i], probs[ij, 1, j]])))
 
 
 def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int]) -> float:
@@ -439,21 +440,23 @@ def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int]) -
     """
     config.validate()
     k, l = arm_pair
-    if k == l or not (1 <= k <= ARMS and 1 <= l <= ARMS):
-        raise ValueError(f"arm_pair must be two distinct arms in 1..4, got {arm_pair}")
+    d = len(config.tau)
+    if k == l or not (1 <= k <= d and 1 <= l <= d):
+        raise ValueError(f"arm_pair must be two distinct arms in 1..{d}, got {arm_pair}")
     tk, tl = config.tau[k - 1], config.tau[l - 1]
     norm_sq = tk * tk + tl * tl
     if norm_sq == 0.0:
-        raise AllArmsBlocked("both scanned arms are blocked")
+        raise ConfigError(f"both scanned arms {k} and {l} are blocked")
     return 2.0 * tk * tl / norm_sq * _damping(config.phase_noise)
 
 
 def mean_fringe_visibility(config: InterferometerConfig, seed: int = 0) -> float:
-    """Visibility averaged over the six arm pairs.
+    """Visibility averaged over all arm pairs.
 
     ``seed`` is unused: the visibility is in closed form.
     """
-    pairs = itertools.combinations(range(1, ARMS + 1), 2)
+    config.validate()
+    pairs = itertools.combinations(range(1, len(config.tau) + 1), 2)
     return float(np.mean([fringe_visibility(config, pair) for pair in pairs]))
 
 

@@ -62,7 +62,6 @@ class AspEstimate:
     value: float
     sigma: float
     per_input: np.ndarray | None = None
-    n_rounds: int = 0
 
 
 def optimal_states(pair: MubPair) -> EncodingTable:
@@ -178,5 +177,4 @@ def estimate_asp(counts: CountsTable) -> AspEstimate:
         value=float(per_input.mean()),
         sigma=float(np.sqrt(cell_var.sum()) / per_input.size),
         per_input=per_input,
-        n_rounds=counts.total(),
     )

@@ -99,6 +99,25 @@ class TestSimulateCommand:
                     "--rounds", "5000", "--out", "x.csv"], tmp_path) == 3
         assert not (tmp_path / "x.csv").exists()
 
+    def test_misspelled_noise_key_exits_3(self, tmp_path, capsys):
+        # "sigm" would otherwise leave sigma at 0 and run without noise
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phase_noise": {"model": "gaussian_drift", "sigm": 0.03}}))
+        assert run(["simulate", "--config", str(cfg), "--seed", "1",
+                    "--rounds", "5000", "--out", "x.csv"], tmp_path) == 3
+        assert "sigm" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_blocked_arm_pair_calibration_exits_3(self, tmp_path, capsys):
+        # arms 3 and 4 are dark, so their fringe has no visibility
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": [1, 1, 0, 0]}))
+        assert run(["simulate", "--config", str(cfg), "--seed", "1",
+                    "--rounds", "5000", "--visibility-target", "0.9",
+                    "--out", "x.csv"], tmp_path) == 3
+        assert "blocked" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unreachable_visibility_target_exits_3(self, tmp_path):
         # tau imbalance caps the noiseless mean visibility at 0.90
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from mubcert.counts import write_counts_csv
-from mubcert.errors import AllArmsBlocked, ConfigError
+from mubcert.errors import ConfigError
 from mubcert.mub import HADAMARD4, hadamard_mub_pair_d4, is_mutually_unbiased, MubPair, Measurement
 from mubcert.photonics import (
     BLOCK_ROUNDS,
@@ -26,7 +27,6 @@ from mubcert.photonics import (
     mean_fringe_visibility,
     measurement_unitary,
     noise_averaged_asp,
-    prepare_state,
     sample_source,
     simulate_counts,
 )
@@ -48,12 +48,6 @@ FIRST_BASIS_PHASES = (0.0, 0.0, 0.0, 0.0)
 SECOND_BASIS_PHASES = (math.pi, 0.0, 0.0, 0.0)
 
 
-def device_state(ket):
-    """Prepare ``ket`` with the device: its amplitude profile and phases."""
-    amp = np.abs(ket)
-    return prepare_state(amp / amp.max(), np.angle(ket))
-
-
 class TestMbsMatrix:
     """The multiport beam splitter: the measurement stage at zero phases."""
 
@@ -69,25 +63,6 @@ class TestMbsMatrix:
     def test_equals_first_analysis_basis(self, d4_pair):
         m = measurement_unitary(np.zeros(4))
         assert np.allclose(m, d4_pair.first.basis_vectors().T.real)
-
-
-class TestPrepareState:
-    def test_balanced_state(self):
-        chi = prepare_state(np.ones(4), np.zeros(4))
-        assert np.allclose(chi, 0.5 * np.ones(4))
-
-    def test_three_arm_state(self, encodings):
-        state = prepare_state(np.array([0.0, 1, 1, 1]), np.zeros(4))
-        assert np.allclose(state, encodings.states[0, 0], atol=1e-12)
-
-    def test_single_arm(self):
-        state = prepare_state(np.array([1.0, 0, 0, 0]), np.array([0.3, 1.0, 2.0, 3.0]))
-        assert abs(abs(state[0]) - 1.0) < 1e-12
-        assert np.allclose(state[1:], 0.0)
-
-    def test_all_blocked(self):
-        with pytest.raises(AllArmsBlocked):
-            prepare_state(np.zeros(4), np.zeros(4))
 
 
 class TestMeasurementUnitary:
@@ -115,8 +90,7 @@ class TestMeasurementUnitary:
 
 class TestDetectionProbabilities:
     def test_balanced_state_goes_to_first_port(self):
-        chi = prepare_state(np.ones(4), np.zeros(4))
-        probs = detection_probabilities(chi, np.zeros(4))
+        probs = detection_probabilities(np.full(4, 0.5), np.zeros(4))
         assert np.allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
     def test_protocol_state(self, encodings):
@@ -130,16 +104,6 @@ class TestDetectionProbabilities:
             state = raw / np.linalg.norm(raw)
             probs = detection_probabilities(state, rng.uniform(0, 2 * np.pi, 4))
             assert abs(probs.sum() - 1.0) < 1e-12
-
-
-class TestSettingsForState:
-    def test_round_trip_all_protocol_states(self):
-        # every ket the sampler uses is one the device can prepare
-        states, _ = _protocol_tables()
-        for target in states:
-            prepared = device_state(target)
-            fidelity = abs(np.vdot(target, prepared)) ** 2
-            assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMeasurementPhaseForInput:
@@ -192,10 +156,10 @@ class TestZeroTruncatedPoisson:
 
 class TestEndToEndConsistency:
     def test_pipeline_matches_born_probabilities(self, d4_pair, encodings):
-        # settings -> preparation -> detection reproduces |<basis|psi>|^2
+        # the measurement-stage phases reproduce |<basis|psi>|^2
         for i in range(4):
             for j in range(4):
-                state = device_state(encodings.states[i, j])
+                state = encodings.states[i, j]
                 for phases, meas in ((FIRST_BASIS_PHASES, d4_pair.first),
                                      (SECOND_BASIS_PHASES, d4_pair.second)):
                     probs = detection_probabilities(state, phases)
@@ -210,7 +174,7 @@ class TestEndToEndConsistency:
         # the table agrees with the device path, row ij = 4*i + j
         for i in range(4):
             for j in range(4):
-                state = device_state(encodings.states[i, j])
+                state = encodings.states[i, j]
                 for y, phases in enumerate((FIRST_BASIS_PHASES, SECOND_BASIS_PHASES)):
                     device = detection_probabilities(state, phases)
                     assert np.allclose(probs[4 * i + j, y], device, atol=1e-12)
@@ -463,8 +427,7 @@ class TestFringeVisibility:
     def test_matches_detection_pipeline(self):
         # the two-beam fringe equals the full pipeline's first-port probability
         theta = 0.7
-        tau = np.array([1.0, 0.0, 1.0, 0.0])
-        state = prepare_state(tau, np.array([theta, 0.0, 0.0, 0.0]))
+        state = np.array([np.exp(1j * theta), 0.0, 1.0, 0.0]) / math.sqrt(2.0)
         p1 = detection_probabilities(state, np.zeros(4))[0]
         assert p1 == pytest.approx(0.25 * (1 + math.cos(theta)), abs=1e-12)
 
@@ -480,6 +443,15 @@ class TestFringeVisibility:
     def test_rejects_bad_pair(self):
         with pytest.raises(ValueError):
             fringe_visibility(InterferometerConfig(), (2, 2))
+        with pytest.raises(ValueError, match="1..4"):
+            fringe_visibility(InterferometerConfig(), (1, 5))
+
+    def test_blocked_pair_is_config_error(self):
+        cfg = replace(InterferometerConfig(), tau=(1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(ConfigError, match="blocked"):
+            fringe_visibility(cfg, (3, 4))
+        with pytest.raises(ConfigError, match="blocked"):
+            mean_fringe_visibility(cfg)
 
     def test_gaussian_drift_matches_two_arm_monte_carlo(self):
         # arms 1 and 3 open with unequal transmissivities, iid Gaussian
@@ -570,6 +542,18 @@ class TestTransmissivity:
         assert abs(est.value - expected) < 5 * est.sigma
         assert est.value < 0.75 - 10 * est.sigma
 
+    def test_damped_table_is_a_distribution_the_counts_follow(self):
+        cfg = replace(InterferometerConfig(), det_efficiency=1.0, tau=(1.0, 0.5, 0.8, 1.0),
+                      phase_noise=PhaseNoiseConfig("gaussian_drift", 0.4))
+        probs = expected_outcome_probabilities(cfg)
+        assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
+        assert probs.min() > -1e-15
+        table = simulate_counts(cfg, rounds=400_000, seed=8)
+        cells = table.cells.reshape(16, 2, 4)
+        totals = cells.sum(axis=2, keepdims=True)
+        se = np.sqrt(probs * (1 - probs) / totals) + 1e-12
+        assert np.max(np.abs(cells / totals - probs) / se) < 5
+
     def test_rejects_tau_blocking_a_protocol_state(self):
         with pytest.raises(ConfigError, match="blocks"):
             replace(InterferometerConfig(), tau=(1.0, 0.0, 0.0, 0.0)).validate()
@@ -596,10 +580,37 @@ class TestConfig:
             InterferometerConfig.from_dict({"det_efficiency": 1.5})
         with pytest.raises(ConfigError):
             InterferometerConfig.from_dict({"phase_noise": {"model": "pink"}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="4 transmissivities"):
             InterferometerConfig.from_dict({"tau": [1.0, 1.0]})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="d=4"):
             InterferometerConfig.from_dict({"d": 5})
+
+    @pytest.mark.parametrize("doc", [
+        {"phase_noise": {"model": "gaussian_drift", "sigm": 0.03}},
+        {"tau": "1111"},
+        {"d": 4.7},
+        {"mu": True},
+        {"mu": "0.5"},
+    ], ids=["sigma-typo", "tau-string", "d-float", "mu-bool", "mu-string"])
+    def test_rejects_mistyped_values(self, doc):
+        with pytest.raises(ConfigError):
+            InterferometerConfig.from_dict(doc)
+
+    # The config bytes that manifests record; integer-valued numbers are
+    # stored as floats, so a JSON 1 and 1.0 give the same manifest.
+    @pytest.mark.parametrize("doc, text", [
+        ({}, '{"d": 4, "mu": 0.2, "det_efficiency": 0.1, "rep_rate": 2000000.0, '
+             '"integration_time": 1.0, "phase_noise": {"model": "none", "sigma": 0.0}, '
+             '"tau": [1.0, 1.0, 1.0, 1.0], "dark_count_prob": 0.0}'),
+        ({"d": 4, "mu": 1, "det_efficiency": 1, "rep_rate": 2000000, "integration_time": 2,
+          "phase_noise": {"model": "random_walk", "sigma": 0}, "tau": [1, 1, 1, 1],
+          "dark_count_prob": 0},
+         '{"d": 4, "mu": 1.0, "det_efficiency": 1.0, "rep_rate": 2000000.0, '
+         '"integration_time": 2.0, "phase_noise": {"model": "random_walk", "sigma": 0.0}, '
+         '"tau": [1.0, 1.0, 1.0, 1.0], "dark_count_prob": 0.0}'),
+    ], ids=["defaults", "every-key-integer-valued"])
+    def test_json_bytes_are_pinned(self, doc, text):
+        assert json.dumps(InterferometerConfig.from_dict(doc).to_dict()) == text
 
     @pytest.mark.parametrize("doc", [
         {"mu": "inf"},

@@ -150,7 +150,6 @@ class TestEstimateAsp:
         est = estimate_asp(table)
         assert abs(est.value - 0.75) <= 2 * est.sigma
         assert est.value == pytest.approx(0.75, abs=1e-6)
-        assert est.n_rounds == table.total()
 
     def test_uniform_counts(self):
         table = CountsTable(dim=4, cells=np.full((4, 4, 2, 4), 250, dtype=np.int64))
