@@ -7,19 +7,22 @@ counts), ``certify`` (turn counts or a bare ASP into a certificate),
 command from its manifest).
 
 Exit codes: 0 success, 2 bad arguments, 3 config validation failure,
-4 malformed or unusable data.
+4 malformed or unusable data.  The parser checks each argument's range,
+commands raise, and only ``main`` maps an exception to an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +30,7 @@ import numpy as np
 from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
 from .counts import CountsTable, read_counts_csv, write_counts_csv
-from .errors import (
-    ConfigError,
-    CountsFormatError,
-    EmptyCell,
-    MubCertError,
-)
+from .errors import ConfigError, MubCertError
 from .mub import (
     CONSTRUCTION_FOURIER,
     CONSTRUCTION_HADAMARD_D4,
@@ -61,8 +59,17 @@ EXIT_ARGS = 2
 EXIT_CONFIG = 3
 EXIT_DATA = 4
 
+# Largest --d.  Each effect array of a basis pair takes 16*d^3 bytes and
+# the pair's JSON grows as d^3: d = 64 already writes 37 MB, and at
+# d = 1000 one array would need 16 GB.
+MAX_DIM = 64
 
-@dataclass
+
+class UsageError(MubCertError):
+    """Arguments that are valid one by one but not together."""
+
+
+@dataclass(kw_only=True)
 class RunManifest:
     """Provenance record accompanying every primary output file.
 
@@ -71,10 +78,10 @@ class RunManifest:
     """
 
     command: list
-    tool_version: str
-    seed: int | None
-    config: dict | None
-    inputs: list
+    tool_version: str = __version__
+    seed: int | None = None
+    config: dict | None = None
+    inputs: list = field(default_factory=list)
     outputs: list
     started_utc: str
     finished_utc: str = ""
@@ -110,16 +117,31 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 on --help and --version, 2 on bad argv
         return EXIT_OK if not exc.code else EXIT_ARGS
     try:
-        return args.func(args, [args.subcommand] + argv[1:])
+        args.func(args, [args.subcommand] + argv[1:])
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARGS
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CountsFormatError, EmptyCell) as exc:
+    except (MubCertError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (MubCertError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    return EXIT_OK
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """Argparse type: an integer at least ``lo`` and, if given, at most ``hi``."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,22 +155,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mub", help="construct a basis pair and report its metrics")
     p.add_argument("--construction", required=True,
                    choices=[CONSTRUCTION_HADAMARD_D4, CONSTRUCTION_FOURIER])
-    p.add_argument("--d", type=int, default=None, help="dimension (fourier only)")
+    p.add_argument("--d", type=_int_in(2, MAX_DIM), default=None,
+                   help="dimension (fourier only)")
     p.add_argument("--out", default="mub.json")
     p.set_defaults(func=cmd_mub)
 
     p = sub.add_parser("simulate", help="run the interferometer Monte Carlo")
     p.add_argument("--config", default=None, help="interferometer config JSON")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_in(0), default=None,
                    help="master seed (default: OS entropy, recorded in the manifest)")
-    p.add_argument("--rounds", type=int, default=None,
+    p.add_argument("--rounds", type=_int_in(1), default=None,
                    help="pulses to simulate (ideal mode: total count mass); "
                         "default rep_rate * integration_time")
-    p.add_argument("--ideal", action="store_true",
-                   help="bypass source/detector/noise models and emit exact "
-                        "expected counts")
-    p.add_argument("--visibility-target", type=float, default=None,
-                   help="calibrate the drift sigma to this mean fringe visibility")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--ideal", action="store_true",
+                      help="bypass source/detector/noise models and emit exact "
+                           "expected counts")
+    mode.add_argument("--visibility-target", type=float, default=None,
+                      help="calibrate the drift sigma to this mean fringe visibility")
     p.add_argument("--out", default="counts.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -156,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="counts CSV path")
     p.add_argument("--asp", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=_int_in(2, MAX_DIM), default=None)
     p.add_argument("--out", default="certificate.json")
     p.set_defaults(func=cmd_certify)
 
@@ -171,33 +195,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_mub(args, command) -> int:
+def cmd_mub(args, command) -> None:
     started = _utc_now()
     if args.construction == CONSTRUCTION_HADAMARD_D4:
         if args.d not in (None, 4):
-            print("error: the hadamard-d4 construction is four-dimensional",
-                  file=sys.stderr)
-            return EXIT_ARGS
+            raise UsageError("the hadamard-d4 construction is four-dimensional")
         pair = hadamard_mub_pair_d4()
     else:
-        if args.d is None or args.d < 2:
-            print("error: --d must be an integer >= 2 for the fourier construction",
-                  file=sys.stderr)
-            return EXIT_ARGS
+        if args.d is None:
+            raise UsageError("the fourier construction needs --d")
         pair = fourier_mub_pair(args.d)
 
     doc = mub_pair_to_dict(pair)
     doc["metrics"] = _pair_metrics(pair)
     out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-    RunManifest(
-        command=command, tool_version=__version__, seed=None, config=None,
-        inputs=[], outputs=[str(out)], started_utc=started,
-    ).write(out)
+    RunManifest(command=command, outputs=[str(out)], started_utc=started).write(out)
     print(f"wrote {out}")
     for key, value in doc["metrics"].items():
         print(f"  {key}: {value}")
-    return EXIT_OK
 
 
 def _pair_metrics(pair: MubPair) -> dict:
@@ -210,18 +226,8 @@ def _pair_metrics(pair: MubPair) -> dict:
     }
 
 
-def cmd_simulate(args, command) -> int:
+def cmd_simulate(args, command) -> None:
     started = _utc_now()
-    if args.ideal and args.visibility_target is not None:
-        print("error: --ideal and --visibility-target are mutually exclusive",
-              file=sys.stderr)
-        return EXIT_ARGS
-    if args.rounds is not None and args.rounds <= 0:
-        print("error: --rounds must be positive", file=sys.stderr)
-        return EXIT_ARGS
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_ARGS
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -239,20 +245,20 @@ def cmd_simulate(args, command) -> int:
     extra = {}
 
     if args.visibility_target is not None:
-        if config.phase_noise.model == "none":
-            config.phase_noise = PhaseNoiseConfig(model="gaussian_drift")
-        sigma = calibrate_drift_sigma(config, args.visibility_target)
-        config.phase_noise = PhaseNoiseConfig(config.phase_noise.model, sigma)
+        model = config.phase_noise.model
+        if model == "none":
+            model = "gaussian_drift"
+        sigma = calibrate_drift_sigma(replace(config, phase_noise=PhaseNoiseConfig(model)),
+                                      args.visibility_target)
+        config = replace(config, phase_noise=PhaseNoiseConfig(model, sigma))
         extra["calibrated_sigma"] = sigma
         extra["calibrated_mean_visibility"] = mean_fringe_visibility(config)
 
     if args.ideal:
-        rounds = args.rounds if args.rounds is not None else 60000
         try:
-            table = ideal_expected_counts(rounds)
+            table = ideal_expected_counts(args.rounds or 60000)
         except ValueError as exc:
-            print(f"error: --rounds: {exc}", file=sys.stderr)
-            return EXIT_ARGS
+            raise UsageError(f"--rounds: {exc}") from None
         extra["mode"] = "ideal"
     else:
         table = simulate_counts(config, rounds=args.rounds, seed=seed)
@@ -266,68 +272,53 @@ def cmd_simulate(args, command) -> int:
     out = Path(args.out)
     write_counts_csv(table, out)
     RunManifest(
-        command=command, tool_version=__version__, seed=seed,
-        config=config.to_dict(), inputs=[args.config] if args.config else [],
+        command=command, seed=seed, config=config.to_dict(),
+        inputs=[args.config] if args.config else [],
         outputs=[str(out)], started_utc=started, extra=extra,
     ).write(out)
     print(f"wrote {out} ({table.total()} detections)")
-    return EXIT_OK
 
 
-def cmd_certify(args, command) -> int:
+def cmd_certify(args, command) -> None:
     started = _utc_now()
     inputs = []
     if args.counts is not None:
         if args.asp is not None or args.sigma is not None:
-            print("error: give either --counts or --asp/--sigma, not both",
-                  file=sys.stderr)
-            return EXIT_ARGS
+            raise UsageError("give either --counts or --asp/--sigma, not both")
         table = read_counts_csv(args.counts)
         inputs.append(args.counts)
         est = estimate_asp(table)
         d = table.dim
         if args.d is not None and args.d != d:
-            print(f"error: counts table is {d}-dimensional, got --d {args.d}",
-                  file=sys.stderr)
-            return EXIT_ARGS
+            raise UsageError(f"counts table is {d}-dimensional, got --d {args.d}")
     else:
         if args.asp is None or args.sigma is None or args.d is None:
-            print("error: --asp, --sigma and --d are required without --counts",
-                  file=sys.stderr)
-            return EXIT_ARGS
-        if args.d < 2:
-            print("error: --d must be an integer >= 2", file=sys.stderr)
-            return EXIT_ARGS
+            raise UsageError("--asp, --sigma and --d are required without --counts")
         est = AspEstimate(value=args.asp, sigma=args.sigma)
         d = args.d
 
     if not 0.5 < est.value <= 1.0:
-        print(f"data error: ASP {est.value} outside (1/2, 1]", file=sys.stderr)
-        return EXIT_DATA
+        raise MubCertError(f"ASP {est.value} outside (1/2, 1]")
     if not (math.isfinite(est.sigma) and est.sigma >= 0.0):
-        print("data error: sigma must be finite and nonnegative", file=sys.stderr)
-        return EXIT_DATA
+        raise MubCertError("sigma must be finite and nonnegative")
 
     report = full_certificate(est, d)
     if not all(math.isfinite(b.sigma) for b in report.bounds() if b.applicable):
-        print(f"data error: sigma {est.sigma} propagates to a non-finite bound sigma",
-              file=sys.stderr)
-        return EXIT_DATA
+        raise MubCertError(f"sigma {est.sigma} propagates to a non-finite bound sigma")
     out = Path(args.out)
     out.write_text(report.to_json() + "\n")
     table_out = out.with_suffix(".txt")
     table_text = report_table(report)
     table_out.write_text(table_text + "\n")
     RunManifest(
-        command=command, tool_version=__version__, seed=None, config=None,
-        inputs=inputs, outputs=[str(out), str(table_out)], started_utc=started,
+        command=command, inputs=inputs, outputs=[str(out), str(table_out)],
+        started_utc=started,
     ).write(out)
     print(table_text)
     print(f"wrote {out} and {table_out}")
-    return EXIT_OK
 
 
-def cmd_figure_data(args, command) -> int:
+def cmd_figure_data(args, command) -> None:
     started = _utc_now()
     table = read_counts_csv(args.counts)
     est = estimate_asp(table)
@@ -346,7 +337,7 @@ def cmd_figure_data(args, command) -> int:
     prob_path.write_text("\n".join(lines) + "\n")
 
     asp_path = Path(f"{args.out_prefix}_state_asp.csv")
-    optimal = float(quantum_optimum(d))
+    optimal = quantum_optimum(d)
     red_line = float(min_asp_for_nontrivial_eta(d))
     lines = ["i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp"]
     for i in range(d):
@@ -359,15 +350,13 @@ def cmd_figure_data(args, command) -> int:
     asp_path.write_text("\n".join(lines) + "\n")
 
     RunManifest(
-        command=command, tool_version=__version__, seed=None, config=None,
-        inputs=[args.counts], outputs=[str(prob_path), str(asp_path)],
+        command=command, inputs=[args.counts], outputs=[str(prob_path), str(asp_path)],
         started_utc=started,
     ).write(asp_path)
     print(f"wrote {prob_path} and {asp_path}")
-    return EXIT_OK
 
 
-def cmd_replay(args, command) -> int:
+def cmd_replay(args, command) -> None:
     try:
         doc = json.loads(Path(args.manifest).read_text())
         if not isinstance(doc, dict):
@@ -376,7 +365,8 @@ def cmd_replay(args, command) -> int:
         if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
             raise ValueError("its command is not a non-empty list of strings")
         try:
-            replayed = build_parser().parse_args(argv)
+            with contextlib.redirect_stderr(io.StringIO()):  # the data error reports it
+                replayed = build_parser().parse_args(argv)
         except SystemExit:
             raise ValueError("its command is not a valid command") from None
         if replayed.subcommand == "replay":
@@ -386,13 +376,11 @@ def cmd_replay(args, command) -> int:
             raise ValueError("its input_sha256 is not an object")
         changed = [path for path, digest in digests.items() if _sha256(path) != digest]
     except (OSError, ValueError) as exc:
-        print(f"data error: cannot replay {args.manifest}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise MubCertError(f"cannot replay {args.manifest}: {exc}") from exc
     if changed:
-        print(f"data error: cannot replay {args.manifest}: input {changed[0]} "
-              "changed since the run (sha256 mismatch)", file=sys.stderr)
-        return EXIT_DATA
-    return replayed.func(replayed, [replayed.subcommand] + argv[1:])
+        raise MubCertError(f"cannot replay {args.manifest}: input {changed[0]} "
+                           "changed since the run (sha256 mismatch)")
+    replayed.func(replayed, [replayed.subcommand] + argv[1:])
 
 
 if __name__ == "__main__":

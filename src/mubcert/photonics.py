@@ -22,7 +22,9 @@ two-arm interference term by one closed-form factor (see ``_damping``),
 so fringe visibility, expected ASP and calibration to a target
 visibility are exact for every model; ``expected_outcome_probabilities``
 is the one Born-rule table behind the expected figures.  The config's
-keys, defaults and JSON types are those of its dataclasses.
+keys, defaults and JSON types are those of its dataclasses.  A config is
+checked when it is built, by its constructor, ``dataclasses.replace`` or
+``from_dict``, and is immutable, so no function here checks it again.
 Everything is deterministic given the master seed; ``SAMPLER_VERSION``
 names the byte stream a seed produces.
 """
@@ -59,7 +61,7 @@ BLOCK_ROUNDS = 1 << 18
 STABILIZE_ROUNDS = 1 << 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseNoiseConfig:
     """Per-arm phase-noise process applied at the preparation stage.
 
@@ -73,15 +75,17 @@ class PhaseNoiseConfig:
     model: str = "none"
     sigma: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.model not in NOISE_MODELS:
             raise ConfigError(f"unknown phase-noise model {self.model!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigError("phase-noise sigma must be finite and nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterferometerConfig:
+    """Device parameters, checked when built; build variants with ``replace``."""
+
     d: int = 4
     mu: float = 0.2
     det_efficiency: float = 0.10
@@ -91,7 +95,7 @@ class InterferometerConfig:
     tau: tuple = (1.0, 1.0, 1.0, 1.0)
     dark_count_prob: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         states, _ = _protocol_tables()
         d = states.shape[1]
         if self.d != d:
@@ -112,7 +116,6 @@ class InterferometerConfig:
             raise ConfigError(f"tau must be {d} transmissivities in [0, 1]")
         if not (np.abs(states) @ np.asarray(self.tau)).all():
             raise ConfigError("tau blocks every arm of a protocol state")
-        self.phase_noise.validate()
 
     def default_rounds(self) -> int:
         return int(round(self.rep_rate * self.integration_time))
@@ -122,9 +125,7 @@ class InterferometerConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InterferometerConfig":
-        cfg = _from_json(cls, doc, "config")
-        cfg.validate()
-        return cfg
+        return _from_json(cls, doc, "config")
 
 
 def _from_json(cls, doc, where: str):
@@ -229,7 +230,6 @@ def expected_outcome_probabilities(config: InterferometerConfig | None = None) -
     """
     if config is None:
         config = InterferometerConfig()
-    config.validate()
     states, bras = _protocol_tables()
     states = states * np.asarray(config.tau)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -245,7 +245,9 @@ def ideal_expected_counts(total: int) -> CountsTable:
 
     Per-setting totals are rounded to a multiple of 12 so that the exact
     outcome probabilities (all multiples of 1/12 for the protocol states)
-    map to integer counts; the estimated ASP is then exactly 3/4.
+    map to integer counts; the estimated ASP is then exactly 3/4.  The
+    rounded total may not exceed the int64 range that ``read_counts_csv``
+    accepts.
     """
     probs = expected_outcome_probabilities()
     d = probs.shape[-1]
@@ -253,7 +255,11 @@ def ideal_expected_counts(total: int) -> CountsTable:
     if total < n_settings * 12:
         raise ValueError(f"total must be at least {n_settings * 12} "
                          "for one detection per cell")
-    per_setting = 12 * max(1, round(total / (n_settings * 12)))
+    limit = int(np.iinfo(np.int64).max)
+    # min() keeps the division finite for any int; past 2*limit the check fails anyway
+    per_setting = 12 * max(1, round(min(total, 2 * limit) / (n_settings * 12)))
+    if per_setting * n_settings > limit:
+        raise ValueError(f"total must round to at most {limit} counts")
     rows = np.floor(per_setting * probs + 0.5).astype(np.int64)
     s, y = np.indices(rows.shape[:2])
     rows[s, y, rows.argmax(axis=-1)] += per_setting - rows.sum(axis=-1)  # guard exact totals
@@ -402,7 +408,6 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
     (rep_rate * integration_time).  The result is bit-for-bit
     reproducible from (config, rounds, seed).
     """
-    config.validate()
     if rounds is None:
         rounds = config.default_rounds()
     if rounds <= 0:
@@ -438,7 +443,6 @@ def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int]) -
     visibility V0 = 2 tau_k tau_l / (tau_k^2 + tau_l^2); phase noise
     scales it to V0 * D with D from ``_damping``.
     """
-    config.validate()
     k, l = arm_pair
     d = len(config.tau)
     if k == l or not (1 <= k <= d and 1 <= l <= d):
@@ -455,7 +459,6 @@ def mean_fringe_visibility(config: InterferometerConfig, seed: int = 0) -> float
 
     ``seed`` is unused: the visibility is in closed form.
     """
-    config.validate()
     pairs = itertools.combinations(range(1, len(config.tau) + 1), 2)
     return float(np.mean([fringe_visibility(config, pair) for pair in pairs]))
 
@@ -472,7 +475,6 @@ def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float
     moving; for Gaussian drift (K = 1) the bracket is the single point
     sigma = sqrt(ln(V0 / V)).  ``seed`` is unused: the result is exact.
     """
-    config.validate()
     model = config.phase_noise.model
     if model == "none":
         raise ConfigError("calibration requires a phase-noise model")

@@ -13,6 +13,7 @@ form a MUB pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,7 @@ def quantum_optimum(d: int) -> float:
     """Largest ASP any quantum strategy reaches in dimension d."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return 0.5 * (1.0 + 1.0 / np.sqrt(d))
+    return 0.5 * (1.0 + 1.0 / math.sqrt(d))
 
 
 def brute_force_optimal_asp(pair: MubPair) -> tuple[float, EncodingTable]:

@@ -44,8 +44,16 @@ class TestMubCommand:
         assert doc["metrics"]["mutually_unbiased"] is True
         assert doc["first"]["dim"] == 3
 
-    def test_fourier_d1_exits_2(self, tmp_path):
-        assert run(["mub", "--construction", "fourier", "--d", "1"], tmp_path) == 2
+    @pytest.mark.parametrize("args", [
+        ["fourier", "--d", "1"],
+        ["fourier"],
+        ["hadamard-d4", "--d", "5"],
+        ["fourier", "--d", "65"],
+        ["fourier", "--d", "100000000000000000000"],
+    ], ids=["fourier-d1", "fourier-no-d", "hadamard-d5", "fourier-d65", "fourier-d1e20"])
+    def test_fourier_d1_exits_2(self, tmp_path, args):
+        assert run(["mub", "--construction", *args, "--out", "m.json"], tmp_path) == 2
+        assert not (tmp_path / "m.json").exists()
 
     def test_unknown_construction_exits_2(self, tmp_path):
         assert run(["mub", "--construction", "bogus"], tmp_path) == 2
@@ -139,8 +147,13 @@ class TestSimulateCommand:
         assert manifest["config"]["phase_noise"]["sigma"] > 0
         assert abs(manifest["extra"]["calibrated_mean_visibility"] - 0.9989) < 1e-12
 
-    @pytest.mark.parametrize("extra", [["--rounds", "0"], ["--ideal", "--rounds", "10"]],
-                             ids=["zero-rounds", "ideal-too-few-rounds"])
+    @pytest.mark.parametrize("extra", [
+        ["--rounds", "0"],
+        ["--ideal", "--rounds", "10"],
+        # totals past the int64 range that read_counts_csv accepts
+        ["--ideal", "--rounds", "100000000000000000000"],
+        ["--ideal", "--rounds", "1000000000000000000000000000000"],
+    ], ids=["zero-rounds", "ideal-too-few-rounds", "ideal-past-int64", "ideal-past-float64"])
     def test_unusable_rounds_exit_2(self, tmp_path, extra):
         assert run(["simulate", "--seed", "1", "--out", "x.csv"] + extra, tmp_path) == 2
         assert not (tmp_path / "x.csv").exists()
@@ -252,8 +265,11 @@ class TestCertifyCommand:
         assert run(["certify", "--counts", str(bad)], tmp_path) == 4
 
     def test_dimension_one_exits_2(self, tmp_path):
-        assert run(["certify", "--asp", "0.7", "--sigma", "0.001", "--d", "1"],
-                   tmp_path) == 2
+        # and a --d past the parser's bound, too large for numpy's sqrt
+        for d in ("1", "100000000000000000000"):
+            assert run(["certify", "--asp", "0.7", "--sigma", "0.001", "--d", d,
+                        "--out", "c.json"], tmp_path) == 2
+            assert not (tmp_path / "c.json").exists()
 
     def test_dimension_one_counts_exit_4(self, tmp_path):
         d1 = tmp_path / "d1.csv"
@@ -371,8 +387,19 @@ class TestReplay:
     def test_malformed_manifest_exits_4(self, tmp_path, capsys, doc):
         (tmp_path / "m.json").write_text(json.dumps(doc))
         assert run(["replay", "m.json"], tmp_path) == 4
-        assert "cannot replay m.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "cannot replay m.json" in err
         assert not (tmp_path / "counts.csv").exists()
+
+    def test_out_of_range_command_exits_4(self, tmp_path, capsys):
+        # a hand-edited manifest: the parser rejects --rounds 0 before any run
+        doc = {"command": ["simulate", "--seed", "1", "--rounds", "0", "--out", "x.csv"]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert run(["replay", "m.json"], tmp_path) == 4
+        assert capsys.readouterr().err == (
+            "data error: cannot replay m.json: its command is not a valid command\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestEntryPoint:

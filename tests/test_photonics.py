@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -556,7 +556,7 @@ class TestTransmissivity:
 
     def test_rejects_tau_blocking_a_protocol_state(self):
         with pytest.raises(ConfigError, match="blocks"):
-            replace(InterferometerConfig(), tau=(1.0, 0.0, 0.0, 0.0)).validate()
+            replace(InterferometerConfig(), tau=(1.0, 0.0, 0.0, 0.0))
 
 
 class TestConfig:
@@ -568,6 +568,19 @@ class TestConfig:
         )
         back = InterferometerConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    def test_is_immutable(self):
+        cfg = InterferometerConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.mu = 0.5
+        with pytest.raises(FrozenInstanceError):
+            cfg.phase_noise.sigma = 0.1
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="mu must be positive"):
+            InterferometerConfig(mu=-1.0)
+        with pytest.raises(ConfigError, match="unknown phase-noise model"):
+            PhaseNoiseConfig("pink")
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

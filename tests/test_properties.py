@@ -145,7 +145,7 @@ CLI_TOKENS = SUBCOMMANDS + (
     "--construction", "hadamard-d4", "fourier", "--d", "--out", "--config", "--seed",
     "--rounds=10000", "--ideal", "--visibility-target", "--counts", "--asp", "--sigma",
     "--out-prefix", "--version", "--help",
-    "0", "-1", "2", "4", "8", "0.75", "0.9", "nan", "inf", "abc",
+    "0", "-1", "2", "4", "8", "0.75", "0.9", "nan", "inf", "abc", "100000000000000000000",
     "counts.csv", *CLI_FILES,
 )
 CLI_TOKEN = st.sampled_from(CLI_TOKENS)
@@ -154,8 +154,9 @@ CLI_ARGV = (st.builds(lambda sub, rest: [sub, *rest], st.sampled_from(SUBCOMMAND
             | st.lists(CLI_TOKEN, max_size=4))
 
 
-# Numbers are at most 8 (a `mub --d` that stays small) except `--rounds=10000`,
-# and every example runs in a fresh directory, so outputs stay out of the tree.
+# Numbers are at most 8 (a `mub --d` that stays small) except `--rounds=10000`
+# and 10^20, which the parser must refuse as a `--d` before anything is built.
+# Every example runs in a fresh directory, so outputs stay out of the tree.
 @settings(PROPERTY, max_examples=150)
 @given(argv=CLI_ARGV)
 def test_cli_returns_an_exit_code_and_never_raises(argv):
