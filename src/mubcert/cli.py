@@ -228,6 +228,8 @@ def _pair_metrics(pair: MubPair) -> dict:
 
 def cmd_simulate(args, command) -> None:
     started = _utc_now()
+    if args.ideal and args.config is not None:
+        raise UsageError("--ideal takes no --config: its table is the default device's")
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())

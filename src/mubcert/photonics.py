@@ -41,7 +41,7 @@ import numpy as np
 from .counts import CountsTable
 from .errors import ConfigError, DimensionMismatch
 from .mub import hadamard_mub_pair_d4
-from .qrac import optimal_states
+from .qrac import correct_outcomes, optimal_states
 
 NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
@@ -112,6 +112,9 @@ class InterferometerConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.rep_rate <= 0.0 or self.integration_time <= 0.0:
             raise ConfigError("rep_rate and integration_time must be positive")
+        if not 0.5 < self.rep_rate * self.integration_time < 2 ** 63:
+            raise ConfigError("rep_rate * integration_time must round to "
+                              "1 to 2**63 - 1 pulses")
         if len(self.tau) != d or any(not 0.0 <= t <= 1.0 for t in self.tau):
             raise ConfigError(f"tau must be {d} transmissivities in [0, 1]")
         if not (np.abs(states) @ np.asarray(self.tau)).all():
@@ -219,37 +222,39 @@ def _protocol_tables() -> tuple[np.ndarray, np.ndarray]:
     return states, bras
 
 
-def expected_outcome_probabilities(config: InterferometerConfig | None = None) -> np.ndarray:
-    """Expected click probabilities, shape (d*d, 2, d) indexed by (ij, y-1, b-1).
+def expected_outcome_probabilities(config: InterferometerConfig) -> np.ndarray:
+    """Expected click probabilities, shape (d, d, 2, d), indexed like ``CountsTable.cells``.
 
-    The protocol states are weighted by the config's ``tau`` and
-    renormalized, as in ``simulate_counts``, and every two-arm cross term
-    of the Born rule is damped by ``_damping``.  For the random walk this
-    is the average over whole stabilization windows.  Without a config
-    the table is the balanced, noiseless one of the default config.
+    Entry ``[i-1, j-1, y-1, b-1]`` is the probability of outcome b for
+    input dits (i, j) and Bob's input y.  The protocol states are weighted
+    by the config's ``tau`` and renormalized, as in ``simulate_counts``,
+    and every two-arm cross term of the Born rule is damped by
+    ``_damping``.  For the random walk this is the average over whole
+    stabilization windows.
     """
-    if config is None:
-        config = InterferometerConfig()
     states, bras = _protocol_tables()
+    d = states.shape[1]
     states = states * np.asarray(config.tau)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     # terms[ij, y, b, k]: arm k's share of the amplitude of outcome b
     terms = np.einsum("ybk,sk->sybk", bras, states)
     diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
     full = np.abs(np.sum(terms, axis=-1)) ** 2
-    return diagonal + _damping(config.phase_noise) * (full - diagonal)
+    probs = diagonal + _damping(config.phase_noise) * (full - diagonal)
+    return probs.reshape(d, d, 2, d)
 
 
 def ideal_expected_counts(total: int) -> CountsTable:
     """Expected counts with no source/detector/noise model, scaled to ~total.
 
+    The table is the default config's balanced, noiseless one.
     Per-setting totals are rounded to a multiple of 12 so that the exact
     outcome probabilities (all multiples of 1/12 for the protocol states)
     map to integer counts; the estimated ASP is then exactly 3/4.  The
     rounded total may not exceed the int64 range that ``read_counts_csv``
     accepts.
     """
-    probs = expected_outcome_probabilities()
+    probs = expected_outcome_probabilities(InterferometerConfig())
     d = probs.shape[-1]
     n_settings = 2 * d * d
     if total < n_settings * 12:
@@ -260,10 +265,10 @@ def ideal_expected_counts(total: int) -> CountsTable:
     per_setting = 12 * max(1, round(min(total, 2 * limit) / (n_settings * 12)))
     if per_setting * n_settings > limit:
         raise ValueError(f"total must round to at most {limit} counts")
-    rows = np.floor(per_setting * probs + 0.5).astype(np.int64)
-    s, y = np.indices(rows.shape[:2])
-    rows[s, y, rows.argmax(axis=-1)] += per_setting - rows.sum(axis=-1)  # guard exact totals
-    return CountsTable(dim=d, cells=rows.reshape(d, d, 2, d))
+    cells = np.floor(per_setting * probs + 0.5).astype(np.int64)
+    i, j, y = np.indices(cells.shape[:3])
+    cells[i, j, y, cells.argmax(axis=-1)] += per_setting - cells.sum(axis=-1)  # guard exact totals
+    return CountsTable(dim=d, cells=cells)
 
 
 # -- noise processes ----------------------------------------------------------
@@ -424,15 +429,11 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
 def noise_averaged_asp(config: InterferometerConfig) -> float:
     """Expected ASP under the configured noise and ``tau`` (no photon sampling).
 
-    The mean over settings of the correct outcome's entry of
-    ``expected_outcome_probabilities``: outcome i for y=1 and j for y=2.
-    This is 1/4 + D/2 for equal transmissivities.
+    The mean of ``correct_outcomes`` of ``expected_outcome_probabilities``,
+    the same rule ``estimate_asp`` applies to counts.  This is 1/4 + D/2
+    for equal transmissivities.
     """
-    probs = expected_outcome_probabilities(config)
-    d = probs.shape[-1]
-    ij = np.arange(d * d)
-    i, j = np.divmod(ij, d)
-    return float(np.mean(np.stack([probs[ij, 0, i], probs[ij, 1, j]])))
+    return float(correct_outcomes(expected_outcome_probabilities(config)).mean())
 
 
 def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int]) -> float:

@@ -23,18 +23,6 @@ from .errors import DimensionMismatch, EmptyCell, NotMub
 from .linalg import eig_hermitian
 from .mub import MubPair, is_mutually_unbiased
 
-__all__ = [
-    "EncodingTable",
-    "AspEstimate",
-    "optimal_states",
-    "asp",
-    "asp_from_density",
-    "quantum_optimum",
-    "brute_force_optimal_asp",
-    "estimate_asp",
-]
-
-
 @dataclass(eq=False)
 class EncodingTable:
     """One normalized encoding ket per input pair; ``states[i, j]`` is a ket."""
@@ -89,32 +77,40 @@ def optimal_states(pair: MubPair) -> EncodingTable:
     return EncodingTable(dim=d, states=states)
 
 
+def correct_outcomes(table: np.ndarray) -> np.ndarray:
+    """The success rule: each setting's entry for the outcome Bob must give.
+
+    ``table[i, j, y, b]`` holds counts or probabilities of outcome b for
+    input dits (i, j) and Bob's input y (0-based), shape (d, d, 2, d).
+    Input y = 1 retrieves i and y = 2 retrieves j, so the result, shape
+    (d, d, 2), is ``table[i, j, 0, i]`` and ``table[i, j, 1, j]``.
+    """
+    d = table.shape[0]
+    row = np.arange(d)[:, None]
+    col = np.arange(d)[None, :]
+    return np.stack([table[row, col, 0, row], table[row, col, 1, col]], axis=-1)
+
+
 def asp(enc: EncodingTable, pair: MubPair) -> float:
     """Average success probability of a pure-state encoding table."""
     if enc.dim != pair.dim:
         raise DimensionMismatch("encoding and measurement dimensions differ")
-    d = pair.dim
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            psi = enc.states[i, j]
-            total += np.real(np.vdot(psi, pair.first.effects[i] @ psi))
-            total += np.real(np.vdot(psi, pair.second.effects[j] @ psi))
-    return float(total / (2 * d * d))
+    return asp_from_density(np.einsum("ijk,ijl->ijkl", enc.states, enc.states.conj()), pair)
 
 
 def asp_from_density(rhos, pair: MubPair) -> float:
-    """ASP of a general (possibly mixed) encoding, ``rhos[i, j]`` a density matrix."""
+    """ASP of a general (possibly mixed) encoding, ``rhos[i, j]`` a density matrix.
+
+    Builds the Born table ``born[i, j, y, b] = Re tr(rho_ij E^y_b)`` over
+    the effects of both measurements and averages its correct outcomes.
+    """
     rhos = np.asarray(rhos, dtype=complex)
     d = pair.dim
     if rhos.shape != (d, d, d, d):
         raise DimensionMismatch(f"expected density table of shape ({d},)*4")
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            op = pair.first.effects[i] + pair.second.effects[j]
-            total += np.real(np.trace(rhos[i, j] @ op))
-    return float(total / (2 * d * d))
+    effects = np.stack([pair.first.effects, pair.second.effects])
+    born = np.einsum("ijkl,yblk->ijyb", rhos, effects).real
+    return float(correct_outcomes(born).mean())
 
 
 def quantum_optimum(d: int) -> float:
@@ -149,9 +145,9 @@ def estimate_asp(counts: CountsTable) -> AspEstimate:
     """Estimate the ASP and its Poissonian uncertainty from counts.
 
     The success probability of setting (i, j, y) is the fraction of its
-    detections landing on the correct target (outcome i for y = 1, j for
-    y = 2); the ASP is the uniform average over settings, following the
-    uniform input distribution of the protocol.
+    detections on the correct outcome (``correct_outcomes``); the ASP is
+    the uniform average over settings, following the uniform input
+    distribution of the protocol.
 
     Every detection count is treated as an independent Poisson variable
     with variance equal to the count; propagating those fluctuations
@@ -159,20 +155,13 @@ def estimate_asp(counts: CountsTable) -> AspEstimate:
     with total T, and the setting variances add in the average.  A
     setting without detections raises EmptyCell.
     """
-    d = counts.dim
     totals = counts.setting_totals().astype(float)
     empty = np.argwhere(totals == 0)
     if empty.size:
         i, j, y = empty[0] + 1
         raise EmptyCell(f"setting (i={i}, j={j}, y={y}) has no detections")
 
-    correct = np.empty((d, d, 2), dtype=float)
-    row = np.arange(d)[:, None]
-    col = np.arange(d)[None, :]
-    correct[:, :, 0] = counts.cells[row, col, 0, row]  # y=1 target is i
-    correct[:, :, 1] = counts.cells[row, col, 1, col]  # y=2 target is j
-
-    per_input = correct / totals
+    per_input = correct_outcomes(counts.cells) / totals
     cell_var = per_input * (1.0 - per_input) / totals
     return AspEstimate(
         value=float(per_input.mean()),

@@ -126,6 +126,28 @@ class TestSimulateCommand:
         assert "blocked" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    # no --rounds: the pulse count comes from the config
+    @pytest.mark.parametrize("doc", [
+        {"rep_rate": 0.1},
+        {"rep_rate": 1e308, "integration_time": 10},
+    ], ids=["empty", "past-float64"])
+    def test_unusable_pulse_window_exits_3(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["simulate", "--config", str(cfg), "--seed", "1", "--out", "x.csv"],
+                   tmp_path) == 3
+        assert "pulses" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_ideal_with_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": [1, 0.5, 1, 1],
+                                   "phase_noise": {"model": "gaussian_drift", "sigma": 0.5}}))
+        assert run(["simulate", "--ideal", "--config", str(cfg), "--seed", "1",
+                    "--out", "x.csv"], tmp_path) == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
     def test_unreachable_visibility_target_exits_3(self, tmp_path):
         # tau imbalance caps the noiseless mean visibility at 0.90
         cfg = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from mubcert.counts import write_counts_csv
+from mubcert.counts import CountsTable, write_counts_csv
 from mubcert.errors import ConfigError
 from mubcert.mub import HADAMARD4, hadamard_mub_pair_d4, is_mutually_unbiased, MubPair, Measurement
 from mubcert.photonics import (
@@ -167,17 +167,17 @@ class TestEndToEndConsistency:
                     assert np.max(np.abs(probs - born)) < 1e-12
 
     def test_expected_probabilities_table(self, d4_pair, encodings):
-        probs = expected_outcome_probabilities()
-        assert probs.shape == (16, 2, 4)
-        assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
-        assert probs[0, 0, 0] == pytest.approx(0.75, abs=1e-12)
-        # the table agrees with the device path, row ij = 4*i + j
+        probs = expected_outcome_probabilities(InterferometerConfig())
+        assert probs.shape == (4, 4, 2, 4)
+        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert probs[0, 0, 0, 0] == pytest.approx(0.75, abs=1e-12)
+        # the table agrees with the device path, indexed like the counts
         for i in range(4):
             for j in range(4):
                 state = encodings.states[i, j]
                 for y, phases in enumerate((FIRST_BASIS_PHASES, SECOND_BASIS_PHASES)):
                     device = detection_probabilities(state, phases)
-                    assert np.allclose(probs[4 * i + j, y], device, atol=1e-12)
+                    assert np.allclose(probs[i, j, y], device, atol=1e-12)
 
 
 class TestIdealCounts:
@@ -188,6 +188,17 @@ class TestIdealCounts:
     def test_total_close_to_request(self):
         table = ideal_expected_counts(60000)
         assert abs(table.total() - 60000) <= 32 * 12
+
+    # sha256 of the `simulate --ideal --rounds N` CSV
+    @pytest.mark.parametrize("total, digest", [
+        (384, "feea76f691c78ee85489b2aa8ccd259a399a7f38b6d233d6916be73f5e72c238"),
+        (60000, "9d043a83f441cd20a9b8dd38e90ad2632e93194198f1dc19c35fb68ecddf7032"),
+        (123457, "e5d8f2a86f3f92cee4636c109602d7f56d146065bd99f46e51f01d22067e80e0"),
+    ], ids=["384", "60000", "123457"])
+    def test_csv_bytes_are_pinned(self, tmp_path, total, digest):
+        path = tmp_path / "ideal.csv"
+        write_counts_csv(ideal_expected_counts(total), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSimulateCounts:
@@ -254,7 +265,7 @@ class TestSimulateCounts:
     def test_per_setting_distributions_match_born_rule(self):
         # catches any (i, j, y) decode swap inside the protocol loop
         table = simulate_counts(InterferometerConfig(), rounds=2_000_000, seed=5)
-        probs_exp = expected_outcome_probabilities()
+        probs_exp = expected_outcome_probabilities(InterferometerConfig())
         for i in range(4):
             for j in range(4):
                 for y in range(2):
@@ -263,7 +274,7 @@ class TestSimulateCounts:
                     assert np.argmax(row) == target
                     emp = row / row.sum()
                     tol = 5 * np.sqrt(0.75 * 0.25 / row.sum())
-                    assert np.max(np.abs(emp - probs_exp[4 * i + j, y])) < tol
+                    assert np.max(np.abs(emp - probs_exp[i, j, y])) < tol
 
 
 def per_pulse_counts(cfg, n, seed):
@@ -546,13 +557,18 @@ class TestTransmissivity:
         cfg = replace(InterferometerConfig(), det_efficiency=1.0, tau=(1.0, 0.5, 0.8, 1.0),
                       phase_noise=PhaseNoiseConfig("gaussian_drift", 0.4))
         probs = expected_outcome_probabilities(cfg)
-        assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
+        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
         assert probs.min() > -1e-15
-        table = simulate_counts(cfg, rounds=400_000, seed=8)
-        cells = table.cells.reshape(16, 2, 4)
-        totals = cells.sum(axis=2, keepdims=True)
+        cells = simulate_counts(cfg, rounds=400_000, seed=8).cells
+        totals = cells.sum(axis=-1, keepdims=True)
         se = np.sqrt(probs * (1 - probs) / totals) + 1e-12
         assert np.max(np.abs(cells / totals - probs) / se) < 5
+
+    def test_expected_table_has_the_counts_layout(self):
+        cfg = replace(InterferometerConfig(), tau=(1.0, 0.5, 0.8, 1.0),
+                      phase_noise=PhaseNoiseConfig("gaussian_drift", 0.4))
+        table = CountsTable(dim=4, cells=np.rint(1e6 * expected_outcome_probabilities(cfg)))
+        assert estimate_asp(table).value == pytest.approx(noise_averaged_asp(cfg), abs=1e-5)
 
     def test_rejects_tau_blocking_a_protocol_state(self):
         with pytest.raises(ConfigError, match="blocks"):
@@ -581,6 +597,16 @@ class TestConfig:
             InterferometerConfig(mu=-1.0)
         with pytest.raises(ConfigError, match="unknown phase-noise model"):
             PhaseNoiseConfig("pink")
+
+    # rep_rate * integration_time must round to 1..2**63 - 1 pulses
+    @pytest.mark.parametrize("doc", [
+        {"rep_rate": 0.1},
+        {"rep_rate": 1e300},
+        {"rep_rate": 1e308, "integration_time": 10},
+    ], ids=["empty", "past-int64", "past-float64"])
+    def test_rejects_unusable_pulse_window(self, doc):
+        with pytest.raises(ConfigError, match="pulses"):
+            InterferometerConfig.from_dict(doc)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

@@ -14,6 +14,7 @@ from mubcert.qrac import (
     asp,
     asp_from_density,
     brute_force_optimal_asp,
+    correct_outcomes,
     estimate_asp,
     optimal_states,
     quantum_optimum,
@@ -141,6 +142,18 @@ def _ideal_probs(d4_pair, enc):
                 probs[i, j, 0, b] = np.abs(np.vdot(d4_pair.first.basis_vectors()[b], psi)) ** 2
                 probs[i, j, 1, b] = np.abs(np.vdot(d4_pair.second.basis_vectors()[b], psi)) ** 2
     return probs
+
+
+class TestCorrectOutcomes:
+    def test_y1_picks_i_and_y2_picks_j(self):
+        # every entry distinct, so a swapped index picks a different value
+        table = np.arange(3 * 3 * 2 * 3).reshape(3, 3, 2, 3)
+        picked = correct_outcomes(table)
+        assert picked.shape == (3, 3, 2)
+        for i in range(3):
+            for j in range(3):
+                assert picked[i, j, 0] == table[i, j, 0, i]
+                assert picked[i, j, 1] == table[i, j, 1, j]
 
 
 class TestEstimateAsp:
