@@ -174,7 +174,8 @@ def _slope_entropic(p: float, d: int) -> float:
     return -2.0 * _slope_max_sqrt_overlap(p, d) / (s * math.log(2.0))
 
 
-# bound id -> (f(p, d), df/dp(p, d), applicability interval (lo, hi] of p)
+# bound id -> (f(p, d), df/dp(p, d), the interval of p whose nearer end
+# sets the direction of a finite difference at a square-root edge)
 _BOUNDS = {
     "hs": (bound_overlap_entropy, _slope_overlap_entropy,
            lambda d: (0.5, 1.0)),
@@ -209,34 +210,32 @@ _CLAMPED_NAMES = {"hs": "overlap-entropy", "entropic": "entropic"}
 def propagate_error(bound_id: str, p: float, sigma: float, d: int) -> float:
     """One-sigma uncertainty |df/dp| * sigma of a bound, from its exact slope.
 
-    Where the slope is infinite (the square-root edge of the overlap and
-    entropic bounds at the quantum optimum, and of the norm-sum bound at
-    its threshold) the one-sigma difference into the interval is returned
-    instead: ``|f(p) - f(p - sigma)|`` at the optimum, with ``p - sigma``
-    clipped just above 1/2, and ``|f(p) - f(p + sigma)|`` at the threshold.
+    Raises what the bound itself raises where it does not apply (both
+    errors are a BoundInapplicableInWindow).  Where the slope is infinite
+    (the square-root edge of the overlap and entropic bounds at the quantum
+    optimum, and of the norm-sum bound at its threshold) the one-sigma
+    difference into the interval is returned instead: ``|f(p) - f(p - sigma)|``
+    at the optimum, with ``p - sigma`` clipped just above 1/2, and
+    ``|f(p) - f(p + sigma)|`` at the threshold.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if bound_id not in _BOUNDS:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of "
                          f"{sorted(_BOUNDS)}")
-    _check_dim(d)
     f, slope, interval = _BOUNDS[bound_id]
-    lo, hi = interval(d)
-    if not lo < p <= hi:
-        raise BoundInapplicableInWindow(
-            f"bound {bound_id!r} not applicable at ASP {p} for d={d}"
-        )
+    value = f(p, d)
     if sigma == 0.0:
         return 0.0
     rate = abs(slope(p, d))
     if math.isfinite(rate):
         return rate * sigma
+    lo, hi = interval(d)
     if hi - p < p - lo:
         other = max(p - sigma, lo + (hi - lo) * 1e-9)
     else:
         other = min(p + sigma, hi)
-    return abs(f(p, d) - f(other, d))
+    return abs(value - f(other, d))
 
 
 # -- the full certificate -----------------------------------------------------
@@ -340,7 +339,7 @@ def full_certificate(asp: AspEstimate, d: int) -> CertificateReport:
         try:
             result = BoundResult(value=f(p, d), applicable=True,
                                  sigma=propagate_error(bound_id, p, sigma, d))
-        except (OutOfRange, BelowThreshold, BoundInapplicableInWindow) as exc:
+        except BoundInapplicableInWindow as exc:
             result = _inapplicable(str(exc))
         results[bound_id] = result
         if result.value == 0.0:

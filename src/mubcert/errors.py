@@ -45,20 +45,20 @@ class CountsFormatError(MubCertError):
 
 # -- certification bounds ----------------------------------------------------
 
-class OutOfRange(MubCertError):
+class BoundInapplicableInWindow(MubCertError):
+    """Bound not applicable at the given success probability."""
+
+
+class OutOfRange(BoundInapplicableInWindow):
     """Success probability outside the domain of the bound."""
 
 
-class BelowThreshold(MubCertError):
+class BelowThreshold(BoundInapplicableInWindow):
     """Success probability below the applicability threshold of the bound."""
 
 
 class DenominatorNonpositive(MubCertError):
     """Incompatibility bound undefined: denominator is not positive."""
-
-
-class BoundInapplicableInWindow(MubCertError):
-    """Bound not applicable across the requested error-propagation window."""
 
 
 # -- interferometer simulation ----------------------------------------------

@@ -6,6 +6,11 @@ phase-only modulation), and the computational/Fourier pair available in
 every dimension.  The figures of merit are the overlap entropy (1/2-Renyi
 entropy of the normalized cross-overlap distribution, in bits), the sum of
 effect operator norms, and the maximal overlap of effect square roots.
+A pair is checked to be a POVM pair when it is built; whether it is
+unbiased is left to ``is_mutually_unbiased``, which the ``mub`` command
+reports and ``qrac.optimal_states`` requires.  ``mub_pair_to_dict``
+writes the pair document of the ``mub`` command; nothing in the package
+reads one back.
 """
 
 from __future__ import annotations
@@ -15,17 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotProjective
-from .linalg import (
-    DEFAULT_TOL,
-    eig_hermitian,
-    operator_norm,
-    psd_sqrt,
-    validate_povm,
-)
+from .linalg import DEFAULT_TOL, operator_norm, psd_sqrt, validate_povm
 
 CONSTRUCTION_HADAMARD_D4 = "hadamard-d4"
 CONSTRUCTION_FOURIER = "fourier"
-CONSTRUCTION_CUSTOM = "custom"
 
 # Balanced four-port splitter transfer matrix: the d=4 real Hadamard over 2.
 HADAMARD4 = 0.5 * np.array(
@@ -44,9 +42,8 @@ class Measurement:
     """A d-outcome POVM; rank-1 projective in the MUB constructions.
 
     ``effects[b]`` is the operator for outcome ``b+1`` (outcomes are 1-based
-    externally).  ``vectors``, when present, holds the kets of a rank-1
-    projective measurement as rows; it is a convenience for constructions
-    and is not serialized.
+    externally).  ``vectors`` holds the kets, as rows, of a measurement
+    built by ``projective``, and is None otherwise; it is not serialized.
     """
 
     dim: int
@@ -71,17 +68,11 @@ class Measurement:
         effects = np.einsum("ki,kj->kij", v, v.conj())
         return cls(dim=d, effects=effects, vectors=v)
 
-    def basis_vectors(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Kets of a rank-1 projective measurement (rows), up to phase."""
-        if self.vectors is not None:
-            return self.vectors
-        vecs = np.empty((self.dim, self.dim), dtype=complex)
-        for k in range(self.dim):
-            w, v = eig_hermitian(self.effects[k], tol)
-            if abs(w[0] - 1.0) > 1e-6 or (self.dim > 1 and abs(w[1]) > 1e-6):
-                raise NotProjective(f"effect {k + 1} is not a rank-1 projector")
-            vecs[k] = v[:, 0]
-        return vecs
+    def basis_vectors(self) -> np.ndarray:
+        """Kets of a measurement built by ``projective``, as rows."""
+        if self.vectors is None:
+            raise NotProjective("measurement was not built from kets")
+        return self.vectors
 
 
 @dataclass(eq=False)
@@ -90,18 +81,13 @@ class MubPair:
 
     first: Measurement
     second: Measurement
-    construction: str = CONSTRUCTION_CUSTOM
+    construction: str = "custom"
 
     def __post_init__(self):
         if self.first.dim != self.second.dim:
             raise DimensionMismatch("measurements do not share a dimension")
         if not validate_povm(self.first.effects) or not validate_povm(self.second.effects):
             raise NotProjective("measurement effects do not form a POVM")
-        if self.construction != CONSTRUCTION_CUSTOM:
-            if not is_mutually_unbiased(self, tol=1e-9):
-                raise NotProjective(
-                    f"construction {self.construction!r} failed the unbiasedness check"
-                )
 
     @property
     def dim(self) -> int:
@@ -207,24 +193,12 @@ def max_sqrt_overlap(pair: MubPair) -> float:
 #
 # Measurement documents are {"dim": d, "effects": [matrix, ...]} with each
 # matrix row-major d x d and each entry a [re, im] pair.  Python's json
-# round-trips doubles exactly (shortest-repr), which the file contract
-# requires.
+# writes doubles in shortest-repr form, so the text determines every
+# effect exactly, as the file contract requires.
 
 def measurement_to_dict(meas: Measurement) -> dict:
-    effects = [
-        [[[float(z.real), float(z.imag)] for z in row] for row in eff]
-        for eff in meas.effects
-    ]
+    effects = np.stack([meas.effects.real, meas.effects.imag], axis=-1).tolist()
     return {"dim": meas.dim, "effects": effects}
-
-
-def measurement_from_dict(doc: dict) -> Measurement:
-    dim = int(doc["dim"])
-    effects = np.array(
-        [[[complex(re, im) for re, im in row] for row in eff] for eff in doc["effects"]],
-        dtype=complex,
-    )
-    return Measurement(dim=dim, effects=effects)
 
 
 def mub_pair_to_dict(pair: MubPair) -> dict:
@@ -235,14 +209,6 @@ def mub_pair_to_dict(pair: MubPair) -> dict:
     }
 
 
-def mub_pair_from_dict(doc: dict) -> MubPair:
-    return MubPair(
-        first=measurement_from_dict(doc["first"]),
-        second=measurement_from_dict(doc["second"]),
-        construction=doc.get("construction", CONSTRUCTION_CUSTOM),
-    )
-
-
 def depolarized_pair(pair: MubPair, visibility: float) -> MubPair:
     """Mix every effect with white noise: ``v*E + (1-v)*I/d``."""
     d = pair.dim
@@ -250,8 +216,7 @@ def depolarized_pair(pair: MubPair, visibility: float) -> MubPair:
     def mix(meas: Measurement) -> Measurement:
         effects = visibility * meas.effects + (1.0 - visibility) * eye[None, :, :]
         return Measurement(dim=d, effects=effects)
-    return MubPair(first=mix(pair.first), second=mix(pair.second),
-                   construction=CONSTRUCTION_CUSTOM)
+    return MubPair(first=mix(pair.first), second=mix(pair.second))
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

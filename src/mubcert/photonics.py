@@ -96,6 +96,7 @@ class InterferometerConfig:
     dark_count_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", tuple(self.tau))  # a list would stay mutable
         states, _ = _protocol_tables()
         d = states.shape[1]
         if self.d != d:

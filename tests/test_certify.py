@@ -252,6 +252,14 @@ class TestFullCertificate:
         }
         assert doc["hs_lower"]["value"] == report.hs_lower.value
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_norm_sum_applies_at_its_threshold(self, d):
+        p = norm_sum_threshold(d)
+        bound = full_certificate(AspEstimate(p, 1e-3), d).norm_sum_lower
+        assert bound.applicable
+        assert bound.value == bound_norm_sum(p, d)
+        assert math.isfinite(bound.sigma)
+
     def test_table_renders(self):
         text = report_table(full_certificate(AspEstimate(0.70, 0.001), 4))
         assert "inapplicable" in text and "overlap entropy" in text
@@ -264,7 +272,7 @@ class TestCertificateBytes:
     # sigma above it, for sigma = 0 and 1e-3.  Between them these reach every
     # warning and every kind of inapplicable bound.  The digest changes only
     # when the certificate's output is meant to change.
-    DIGEST = "6be1f95e504d9f7b985a7f1e35901bce99b756fbba3a304e5796a5181377ee85"
+    DIGEST = "3644f64811a3ad5600f3e9f7842e7f3ab7fce2675ec68ef7477c2507eed1beb3"
 
     def test_output_is_pinned(self):
         digest = hashlib.sha256()

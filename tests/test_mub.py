@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,13 +15,13 @@ from mubcert.mub import (
     hadamard_mub_pair_d4,
     is_mutually_unbiased,
     max_sqrt_overlap,
-    mub_pair_from_dict,
     mub_pair_to_dict,
     norm_sum,
     overlap_entropy,
     overlap_matrix,
     random_unitary,
 )
+from mubcert.qrac import optimal_states
 
 
 @pytest.fixture(scope="module")
@@ -184,28 +185,62 @@ class TestOverlapDistribution:
 
 def to_json(pair):
     """The pair document as the ``mub`` command writes it."""
-    return json.dumps(mub_pair_to_dict(pair), indent=2)
+    return json.dumps(mub_pair_to_dict(pair), indent=2, allow_nan=False)
 
 
-def from_json(text):
-    return mub_pair_from_dict(json.loads(text))
+def effects_of(doc):
+    """A measurement document's effects, parsed without the library."""
+    entries = np.array(doc["effects"], dtype=float)
+    return entries[..., 0] + 1j * entries[..., 1]
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, d4_pair):
-        text = to_json(d4_pair)
-        back = from_json(text)
-        assert np.array_equal(back.first.effects, d4_pair.first.effects)
-        assert np.array_equal(back.second.effects, d4_pair.second.effects)
-        assert back.construction == d4_pair.construction
-        # a second round trip produces identical text
-        assert to_json(back) == text
+    @pytest.mark.parametrize("pair", [hadamard_mub_pair_d4(), fourier_mub_pair(5)],
+                             ids=["hadamard-d4", "fourier-5"])
+    def test_document_determines_effects_exactly(self, pair):
+        doc = json.loads(to_json(pair))
+        assert doc["construction"] == pair.construction
+        for key, meas in (("first", pair.first), ("second", pair.second)):
+            assert doc[key]["dim"] == pair.dim
+            assert np.array_equal(effects_of(doc[key]), meas.effects)
 
-    def test_round_trip_complex_pair(self):
-        pair = fourier_mub_pair(5)
-        back = from_json(to_json(pair))
-        assert np.array_equal(back.second.effects, pair.second.effects)
-        assert json.loads(to_json(pair))["first"]["dim"] == 5
+    # sha256 of the pair document as ``mub`` writes it; a digest changes
+    # only when the document is meant to change
+    DIGESTS = {
+        "hadamard-d4": "7d7e1d2431a5e617ad729bf8e5274fd9600cc00b32ac491e749a5f69d6b89e61",
+        2: "a36e9906bb260ccf626b4c166c2aa4c50b090231cd215f007c710290dae388e5",
+        3: "90679984da5d0ce2190b5744f5e7e2273f178f3a42228392e09a1e8e55dc9664",
+        4: "c9d8ac12105543286221791bac274e0d05f03a4ff819fee10ae1e5fb3f540dc9",
+        5: "d16963928802ea66cd7170be60cdc37de34e3a2b43652b8129f10c005ba5ec5e",
+        6: "c23a7f5f34f44bd535a5d1c6f8dea368782efa85d4481cc0936cfe4ada7e9a29",
+        7: "a1614ac3b4452d053dca463585d50bfa4c3c49997eb59df4a3702455a2fb6d49",
+        8: "cc4517daec1f190e725c1a4cb21fd838b808665c88befe2186618954047bc5bb",
+    }
+
+    @pytest.mark.parametrize("construction", list(DIGESTS))
+    def test_document_bytes_are_pinned(self, construction):
+        pair = (hadamard_mub_pair_d4() if construction == "hadamard-d4"
+                else fourier_mub_pair(construction))
+        digest = hashlib.sha256(to_json(pair).encode()).hexdigest()
+        assert digest == self.DIGESTS[construction]
+
+
+class TestEffectsOnlyMeasurement:
+    """A projective measurement given only by its effects has no kets."""
+
+    @pytest.fixture
+    def effects_only(self, d4_pair):
+        return MubPair(*(Measurement(dim=4, effects=m.effects)
+                         for m in (d4_pair.first, d4_pair.second)))
+
+    def test_basis_vectors_raises(self, effects_only):
+        assert is_mutually_unbiased(effects_only, tol=1e-9)
+        with pytest.raises(NotProjective):
+            effects_only.first.basis_vectors()
+
+    def test_optimal_states_raises(self, effects_only):
+        with pytest.raises(NotProjective):
+            optimal_states(effects_only)
 
 
 class TestDepolarizedPair:

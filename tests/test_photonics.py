@@ -592,6 +592,12 @@ class TestConfig:
         with pytest.raises(FrozenInstanceError):
             cfg.phase_noise.sigma = 0.1
 
+    def test_tau_list_is_stored_as_a_tuple(self):
+        cfg = InterferometerConfig(tau=[1, 0.5, 1, 1])
+        assert cfg.tau == (1, 0.5, 1, 1) and isinstance(cfg.tau, tuple)
+        assert cfg == InterferometerConfig(tau=(1, 0.5, 1, 1))
+        assert hash(cfg) == hash(InterferometerConfig(tau=(1, 0.5, 1, 1)))
+
     def test_checked_when_built(self):
         with pytest.raises(ConfigError, match="mu must be positive"):
             InterferometerConfig(mu=-1.0)
