@@ -218,6 +218,11 @@ def propagate_error(bound_id: str, p: float, sigma: float, d: int) -> float:
     at the optimum, with ``p - sigma`` clipped just above 1/2, and
     ``|f(p) - f(p + sigma)|`` at the threshold.
     """
+    return _bound_with_error(bound_id, p, sigma, d)[1]
+
+
+def _bound_with_error(bound_id: str, p: float, sigma: float, d: int) -> tuple[float, float]:
+    """A bound's value at p and its ``propagate_error`` uncertainty, evaluating it once."""
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if bound_id not in _BOUNDS:
@@ -226,16 +231,16 @@ def propagate_error(bound_id: str, p: float, sigma: float, d: int) -> float:
     f, slope, interval = _BOUNDS[bound_id]
     value = f(p, d)
     if sigma == 0.0:
-        return 0.0
+        return value, 0.0
     rate = abs(slope(p, d))
     if math.isfinite(rate):
-        return rate * sigma
+        return value, rate * sigma
     lo, hi = interval(d)
     if hi - p < p - lo:
         other = max(p - sigma, lo + (hi - lo) * 1e-9)
     else:
         other = min(p + sigma, hi)
-    return abs(value - f(other, d))
+    return value, abs(value - f(other, d))
 
 
 # -- the full certificate -----------------------------------------------------
@@ -335,10 +340,10 @@ def full_certificate(asp: AspEstimate, d: int) -> CertificateReport:
         return report({row.key: _inapplicable(reason_all) for row in _REPORT})
 
     results = {}
-    for bound_id, (f, _, _) in _BOUNDS.items():
+    for bound_id in _BOUNDS:
         try:
-            result = BoundResult(value=f(p, d), applicable=True,
-                                 sigma=propagate_error(bound_id, p, sigma, d))
+            value, error = _bound_with_error(bound_id, p, sigma, d)
+            result = BoundResult(value=value, sigma=error, applicable=True)
         except BoundInapplicableInWindow as exc:
             result = _inapplicable(str(exc))
         results[bound_id] = result

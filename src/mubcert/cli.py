@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
-from .counts import CountsTable, read_counts_csv, write_counts_csv
+from .counts import read_counts_csv, write_counts_csv
 from .errors import ConfigError, MubCertError
 from .mub import (
     CONSTRUCTION_FOURIER,

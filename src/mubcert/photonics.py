@@ -14,14 +14,18 @@ to the preparation phases.  The source emits Poissonian photon numbers (mean
 ``mu`` per pulse), detectors register each photon independently with a
 fixed efficiency, and optional dark counts fire per gate.  Thinning the
 Poisson source leaves Poisson(mu * det_efficiency) detected photons per
-pulse, so the sampler is event-driven and still exact: it draws which
-pulses click and which gates fire dark, then settings, zero-truncated
-photon numbers and phase noise only for those pulses, and its work grows
-with detections rather than pulses.  Both phase-noise models damp every
-two-arm interference term by one closed-form factor (see ``_damping``),
-so fringe visibility, expected ASP and calibration to a target
-visibility are exact for every model; ``expected_outcome_probabilities``
-is the one Born-rule table behind the expected figures.  The config's
+pulse.  Where no two photons share a drawn phase, an outcome is a draw
+from the phase-averaged Born table, so the sampler draws whole
+per-setting counts from it: every photon without noise, and the
+single-photon pulses under Gaussian drift.  Only drift pulses with two
+or more photons and every click under the random walk, whose window
+shares its walk, get their own phases and Born row (see
+``_block_counts``); the sampler is exact either way.  Both phase-noise
+models damp every two-arm interference term by one closed-form factor
+(see ``_damping``), so fringe visibility, expected ASP and calibration
+to a target visibility are exact for every model;
+``expected_outcome_probabilities`` is the one Born-rule table behind the
+expected figures and the sampler.  The config's
 keys, defaults and JSON types are those of its dataclasses.  A config is
 checked when it is built, by its constructor, ``dataclasses.replace`` or
 ``from_dict``, and is immutable, so no function here checks it again.
@@ -47,7 +51,7 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
 # seed); bump it whenever that stream changes.  Manifests record it.
-SAMPLER_VERSION = "event-2"
+SAMPLER_VERSION = "table-1"
 
 # Rounds are processed in fixed-size blocks, each on an independent
 # substream of the master seed, so partial results merge identically
@@ -274,21 +278,16 @@ def ideal_expected_counts(total: int) -> CountsTable:
 
 # -- noise processes ----------------------------------------------------------
 
-def _draw_noise(model: str, sigma: float, events: np.ndarray, arms: int,
-                rng: np.random.Generator) -> np.ndarray | None:
-    """Noise phases, shape (events.size, arms), at sorted pulse indices.
+def _walk_phases(sigma: float, events: np.ndarray, arms: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Random-walk phases, shape (events.size, arms), at sorted pulse indices.
 
     ``events`` count pulses from the start of a block, where the walk
-    restarts.  Gaussian drift is drawn only at the events.  The random
-    walk takes an N(0, gap*sigma^2) step per arm over each gap, where the
-    first event of a window counts its gap from the pulse before the
-    window's start, and the cumulative sum restarts at every window.
-    None without noise.
+    restarts.  The walk takes an N(0, gap*sigma^2) step per arm over each
+    gap, where the first event of a window counts its gap from the pulse
+    before the window's start, and the cumulative sum restarts at every
+    window.
     """
-    if model == "none" or sigma == 0.0:
-        return None
-    if model == "gaussian_drift":
-        return rng.normal(0.0, sigma, size=(events.size, arms))
     window_start = events - events % STABILIZE_ROUNDS
     prev = np.concatenate(([-1], events[:-1]))
     first = prev < window_start
@@ -311,6 +310,29 @@ def _zero_truncated_poisson(lam: float, size: int,
     q = -math.expm1(-lam)
     first = -np.log1p(-q * rng.random(size))
     return 1 + rng.poisson(np.maximum(lam - first, 0.0))  # rounding can dip below 0
+
+
+def _poisson_at_least_two(lam: float, size: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Poisson(lam) draws conditioned on being at least 2, by rejection.
+
+    Up to lam = 2 a proposal is K = 1 + a zero-truncated draw, whose pmf
+    is the target's times K / lam up to a constant, kept with probability
+    2 / K; above, a Poisson(lam) draw kept when at least 2.  Either keeps
+    more than half of its proposals.
+    """
+    out = np.empty(size, dtype=np.int64)
+    todo = np.arange(size)
+    while todo.size:
+        if lam <= 2.0:
+            k = 1 + _zero_truncated_poisson(lam, todo.size, rng)
+            keep = rng.random(todo.size) * k < 2.0
+        else:
+            k = rng.poisson(lam, todo.size)
+            keep = k >= 2
+        out[todo[keep]] = k[keep]
+        todo = todo[~keep]
+    return out
 
 
 def _window(model: str) -> int:
@@ -340,26 +362,47 @@ def _damping(noise: PhaseNoiseConfig) -> float:
     return _window_damping(noise.sigma ** 2, _window(noise.model))
 
 
-
 # -- the experiment loop ------------------------------------------------------
 
-def _block_counts(config: InterferometerConfig, tables, block_index: int,
-                  n_rounds: int, seed: int) -> np.ndarray:
-    """Simulate one block of rounds on its own substream; returns the cells.
+def _photon_hits(settings: np.ndarray, n_photons: np.ndarray, phases: np.ndarray,
+                 tau, tables, rng: np.random.Generator) -> np.ndarray:
+    """Flat cell index of every photon of the given pulses.
 
-    Only the pulses that click are drawn, and the counts keep the
-    distribution of simulating every pulse.  Output depends only on the
-    arguments, so blocks merge identically in any processing order.
+    Pulse p has setting ``settings[p]``, ``n_photons[p]`` detected photons
+    and preparation phases ``phases[p]``.  Its Born row is that of its
+    tau-weighted ket times the phases, and each of its photons draws one
+    uniform against the row.  The cell of outcome b for setting s is
+    s*d + b, the flat index of ``CountsTable.cells``.
     """
     states, bras = tables
-    d = states.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(block_index,)))
+    ij, y = np.divmod(settings, 2)
+    comps = states[ij]
+    comps *= tau  # the cum normalization below renormalizes
+    comps = comps * np.exp(1j * phases)
+    probs = np.empty(comps.shape)
+    for yv in range(2):
+        mask = y == yv
+        probs[mask] = np.abs(comps[mask] @ bras[yv].T) ** 2
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
 
+    pulse_of_photon = np.repeat(np.arange(settings.size), n_photons)
+    u = rng.random(pulse_of_photon.size)
+    outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
+    return settings[pulse_of_photon] * states.shape[1] + outcome
+
+
+def _walk_hits(config: InterferometerConfig, tables, n_rounds: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Flat cell indices of one block's photon and dark clicks under the random walk.
+
+    Clicks in one stabilization window share its walk, so every pulse
+    that clicks is drawn, with its own phases and Born row.
+    """
+    d = tables[0].shape[1]
     # Fixed draw order: clicking pulses, dark gates, settings, photon
-    # numbers, noise, then outcome uniforms.  Thinning the Poisson(mu)
-    # source by the efficiency leaves Poisson(lam) detected photons per
-    # pulse, so each pulse clicks independently with probability q.
+    # numbers, noise, then outcome uniforms.  Each pulse clicks
+    # independently with probability q.
     lam = config.mu * config.det_efficiency
     q = -math.expm1(-lam)
     clicks = np.sort(rng.choice(n_rounds, rng.binomial(n_rounds, q),
@@ -368,37 +411,65 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
                       replace=False, shuffle=False)
     dark_pulse, dark_arm = np.divmod(dark, d)
 
-    # One setting s = 2*(i*d + j) + y per touched pulse, shared by its
-    # photon clicks and dark gates; s encodes the input dits and basis.
+    # One setting per touched pulse, shared by its photon clicks and dark gates.
     touched = np.sort(np.concatenate([clicks, dark_pulse]))
     touched = touched[np.diff(touched, prepend=-1) > 0]
     settings = rng.integers(0, 2 * d * d, touched.size)
     clicked = settings[np.searchsorted(touched, clicks)]
 
     n_detected = _zero_truncated_poisson(lam, clicks.size, rng)
-    noise = _draw_noise(config.phase_noise.model, config.phase_noise.sigma,
-                        clicks, d, rng)
+    phases = _walk_phases(config.phase_noise.sigma, clicks, d, rng)
+    return np.concatenate([
+        _photon_hits(clicked, n_detected, phases, config.tau, tables, rng),
+        settings[np.searchsorted(touched, dark_pulse)] * d + dark_arm])
 
-    ij, y = np.divmod(clicked, 2)
-    comps = states[ij]
-    comps *= config.tau  # the cum normalization below renormalizes
-    if noise is not None:
-        comps = comps * np.exp(1j * noise)
-    probs = np.empty(comps.shape)
-    for yv in range(2):
-        mask = y == yv
-        probs[mask] = np.abs(comps[mask] @ bras[yv].T) ** 2
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
 
-    pulse_of_photon = np.repeat(np.arange(clicked.size), n_detected)
-    u = rng.random(pulse_of_photon.size)
-    outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
+def _block_counts(config: InterferometerConfig, tables, block_index: int,
+                  n_rounds: int, seed: int) -> np.ndarray:
+    """Simulate one block of rounds on its own substream; returns the cells.
 
-    # Flat cell index ((i*d + j)*2 + y)*d + b = s*d + b.
-    hits = np.concatenate([clicked[pulse_of_photon] * d + outcome,
-                           settings[np.searchsorted(touched, dark_pulse)] * d + dark_arm])
-    cells = np.bincount(hits, minlength=2 * d ** 3)
+    Thinning the Poisson(mu) source by the detector efficiency leaves
+    Poisson(lam) detected photons per pulse, lam = mu * det_efficiency.
+    Where no two pulses share a phase, a photon that is alone in its
+    pulse lands by the phase-averaged Born table, so whole per-setting
+    counts are drawn from it: every photon without noise, the
+    single-photon pulses under Gaussian drift.  Only the pulses whose
+    photons share a drawn phase row take the event path (``_photon_hits``):
+    drift pulses with two or more photons, and every click under the
+    random walk, whose window shares its walk.  A setting
+    s = 2*(i*d + j) + y encodes the input dits and basis.  Output depends
+    only on the arguments, so blocks merge identically in any order.
+    """
+    d = tables[0].shape[1]
+    n_settings = 2 * d * d
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(block_index,)))
+    noise = config.phase_noise
+    if noise.model == "random_walk" and noise.sigma > 0.0:
+        cells = np.bincount(_walk_hits(config, tables, n_rounds, rng),
+                            minlength=n_settings * d)
+        return cells.reshape(d, d, 2, d)
+
+    # Fixed draw order: pulses per setting, dark gates per (setting, arm),
+    # then the photons.  A gate fires independently of the photons, with
+    # its pulse's setting.
+    pulses = rng.multinomial(n_rounds, np.full(n_settings, 1.0 / n_settings))
+    cells = rng.binomial(pulses[:, None], config.dark_count_prob, (n_settings, d))
+    table = expected_outcome_probabilities(config).reshape(n_settings, d)
+    lam = config.mu * config.det_efficiency
+    if noise.model == "none" or noise.sigma == 0.0:
+        cells += rng.multinomial(rng.poisson(pulses * lam), table)
+        return cells.reshape(d, d, 2, d)
+
+    # Gaussian drift: pulses with 0, 1 and at least 2 detected photons.
+    p0 = math.exp(-lam)
+    split = rng.multinomial(pulses, [p0, lam * p0, max(0.0, -math.expm1(-lam) - lam * p0)])
+    cells += rng.multinomial(split[:, 1], table)
+    multi = np.repeat(np.arange(n_settings), split[:, 2])
+    n_photons = _poisson_at_least_two(lam, multi.size, rng)
+    phases = rng.normal(0.0, noise.sigma, (multi.size, d))
+    hits = _photon_hits(multi, n_photons, phases, config.tau, tables, rng)
+    cells += np.bincount(hits, minlength=n_settings * d).reshape(n_settings, d)
     return cells.reshape(d, d, 2, d)
 
 

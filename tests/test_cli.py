@@ -11,7 +11,7 @@ import pytest
 
 import mubcert
 from mubcert.cli import main
-from mubcert.counts import read_counts_csv, write_counts_csv
+from mubcert.counts import write_counts_csv
 from mubcert.photonics import SAMPLER_VERSION, ideal_expected_counts
 
 

@@ -10,7 +10,6 @@ from mubcert.mub import (
     hadamard_mub_pair_d4,
 )
 from mubcert.qrac import (
-    EncodingTable,
     asp,
     asp_from_density,
     brute_force_optimal_asp,
