@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import io
 import json
 import math
@@ -35,6 +36,7 @@ from .mub import (
     CONSTRUCTION_FOURIER,
     CONSTRUCTION_HADAMARD_D4,
     MubPair,
+    document_json,
     fourier_mub_pair,
     hadamard_mub_pair_d4,
     is_mutually_unbiased,
@@ -144,7 +146,13 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call.
+
+    ``parse_args`` keeps no state between calls, so ``main`` and
+    ``replay`` parse with the same parser.
+    """
     parser = argparse.ArgumentParser(
         prog="mubcert",
         description="Simulate and certify the unbiased-basis random access code.",
@@ -209,7 +217,7 @@ def cmd_mub(args, command) -> None:
     doc = mub_pair_to_dict(pair)
     doc["metrics"] = _pair_metrics(pair)
     out = Path(args.out)
-    out.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    out.write_text(document_json(doc) + "\n")
     RunManifest(command=command, outputs=[str(out)], started_utc=started).write(out)
     print(f"wrote {out}")
     for key, value in doc["metrics"].items():
@@ -326,29 +334,20 @@ def cmd_figure_data(args, command) -> None:
     est = estimate_asp(table)
     d = table.dim
 
-    totals = table.setting_totals().astype(float)
+    probs = table.cells / table.setting_totals()[..., None].astype(float)
     prob_path = Path(f"{args.out_prefix}_outcome_probabilities.csv")
     outcome_cols = ",".join(f"p{b + 1}" for b in range(d))
     lines = [f"i,j,y,{outcome_cols}"]
-    for i in range(d):
-        for j in range(d):
-            for y in range(2):
-                probs = table.cells[i, j, y] / totals[i, j, y]
-                row = ",".join(repr(float(p)) for p in probs)
-                lines.append(f"{i + 1},{j + 1},{y + 1},{row}")
+    lines += [f"{i + 1},{j + 1},{y + 1}," + ",".join(map(repr, row))
+              for (i, j, y), row in zip(np.ndindex(d, d, 2), probs.reshape(-1, d).tolist())]
     prob_path.write_text("\n".join(lines) + "\n")
 
     asp_path = Path(f"{args.out_prefix}_state_asp.csv")
-    optimal = quantum_optimum(d)
-    red_line = float(min_asp_for_nontrivial_eta(d))
+    refs = f"{quantum_optimum(d)!r},{float(min_asp_for_nontrivial_eta(d))!r}"
     lines = ["i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp"]
-    for i in range(d):
-        for j in range(d):
-            lines.append(
-                f"{i + 1},{j + 1},"
-                f"{float(est.per_input[i, j, 0])!r},{float(est.per_input[i, j, 1])!r},"
-                f"{optimal!r},{red_line!r}"
-            )
+    lines += [f"{i + 1},{j + 1},{asp1!r},{asp2!r},{refs}"
+              for (i, j), (asp1, asp2) in zip(np.ndindex(d, d),
+                                              est.per_input.reshape(-1, 2).tolist())]
     asp_path.write_text("\n".join(lines) + "\n")
 
     RunManifest(

@@ -3,7 +3,9 @@
 Thin wrappers around LAPACK (via numpy) that pin down the conventions the
 rest of the package relies on: descending eigenvalues, explicit tolerances
 for every validation predicate, and eigenvalue clamping for marginally
-indefinite positive-semidefinite input.
+indefinite positive-semidefinite input.  Every function also takes a
+stack of matrices, shape (..., d, d), and makes one LAPACK call for all
+of it; each matrix of a stack gets the same result as it would alone.
 """
 
 from __future__ import annotations
@@ -16,21 +18,27 @@ DEFAULT_TOL = 1e-9
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex matrix."""
+    """Coerce input to a square complex matrix or a stack of them, shape (..., d, d)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     return a
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``m`` equals its conjugate transpose entrywise within ``tol``."""
+    """True if ``m`` equals its conjugate transpose entrywise within ``tol``.
+
+    For a stack, true if every matrix of it is.
+    """
     a = as_matrix(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - a.conj().swapaxes(-1, -2))) <= tol)
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``m`` is Hermitian within ``tol`` with spectrum >= ``-tol``."""
+    """True if ``m`` is Hermitian within ``tol`` with spectrum >= ``-tol``.
+
+    For a stack, true if every matrix of it is.
+    """
     a = as_matrix(m)
     if not is_hermitian(a, tol):
         return False
@@ -46,7 +54,9 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, v)`` with real eigenvalues ``w[0] >= w[1] >= ...`` and
     orthonormal eigenvectors in the columns of ``v``, so that
-    ``m = sum_k w[k] * outer(v[:, k], v[:, k].conj())``.
+    ``m = sum_k w[k] * outer(v[:, k], v[:, k].conj())``.  A stack of
+    shape (..., d, d) gives ``w`` of shape (..., d) and ``v`` of shape
+    (..., d, d), matrix by matrix.
 
     Raises NotHermitian if the input fails the Hermiticity check, and
     NoConvergence if the underlying iterative solver gives up.
@@ -62,22 +72,27 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return w[order].astype(float), v[:, order]
+    # eigh returns ascending eigenvalues
+    return w[..., ::-1].astype(float), v[..., ::-1]
 
 
-def operator_norm(m) -> float:
-    """Largest singular value of a (generally non-Hermitian) matrix."""
+def operator_norm(m):
+    """Largest singular value of a (generally non-Hermitian) matrix.
+
+    A float for one matrix; for a stack of shape (..., d, d), an array of
+    shape (...) holding each matrix's norm.
+    """
     a = as_matrix(m)
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return float(s[0]) if s.size else 0.0
+    norms = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return float(norms) if a.ndim == 2 else norms
 
 
 def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
 
     Eigenvalues in ``(-tol, 0)`` are clamped to zero so that effects
     reconstructed from noisy data remain admissible; an eigenvalue below
@@ -87,22 +102,24 @@ def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     if w.min() < -tol:
         raise NotPSD(f"eigenvalue {w.min():.3e} below -tol={-tol:.1e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def validate_povm(ops, tol: float = DEFAULT_TOL) -> bool:
     """Check that ``ops`` is a POVM: PSD effects summing to the identity.
 
-    All effects must share one dimension (DimensionMismatch otherwise).
+    ``ops`` holds the effects along its third-to-last axis, shape
+    (..., n, d, d); a stack of POVMs is valid if every one of them is.
+    Effects of different dimensions raise DimensionMismatch.
     """
-    mats = [as_matrix(op) for op in ops]
-    if not mats:
+    try:
+        a = as_matrix(ops)
+    except ValueError as exc:  # a ragged list of matrices
+        raise DimensionMismatch("effects do not share a common dimension") from exc
+    if a.ndim < 3:
+        raise DimensionMismatch(f"expected effects of shape (n, d, d), got {a.shape}")
+    if a.shape[-3] == 0:
         raise DimensionMismatch("empty effect list")
-    dim = mats[0].shape[0]
-    for a in mats:
-        if a.shape[0] != dim:
-            raise DimensionMismatch("effects do not share a common dimension")
-    if not all(is_psd(a, tol) for a in mats):
+    if not is_psd(a, tol):
         return False
-    total = sum(mats)
-    return bool(np.max(np.abs(total - np.eye(dim))) <= tol)
+    return bool(np.max(np.abs(a.sum(axis=-3) - np.eye(a.shape[-1]))) <= tol)

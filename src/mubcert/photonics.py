@@ -424,9 +424,13 @@ def _walk_hits(config: InterferometerConfig, tables, n_rounds: int,
         settings[np.searchsorted(touched, dark_pulse)] * d + dark_arm])
 
 
-def _block_counts(config: InterferometerConfig, tables, block_index: int,
-                  n_rounds: int, seed: int) -> np.ndarray:
+def _block_counts(config: InterferometerConfig, tables, born: np.ndarray,
+                  block_index: int, n_rounds: int, seed: int) -> np.ndarray:
     """Simulate one block of rounds on its own substream; returns the cells.
+
+    ``born`` is ``expected_outcome_probabilities(config)``, which depends
+    only on the config, so ``simulate_counts`` builds it once for all
+    blocks.
 
     Thinning the Poisson(mu) source by the detector efficiency leaves
     Poisson(lam) detected photons per pulse, lam = mu * det_efficiency.
@@ -455,7 +459,7 @@ def _block_counts(config: InterferometerConfig, tables, block_index: int,
     # its pulse's setting.
     pulses = rng.multinomial(n_rounds, np.full(n_settings, 1.0 / n_settings))
     cells = rng.binomial(pulses[:, None], config.dark_count_prob, (n_settings, d))
-    table = expected_outcome_probabilities(config).reshape(n_settings, d)
+    table = born.reshape(n_settings, d)
     lam = config.mu * config.det_efficiency
     if noise.model == "none" or noise.sigma == 0.0:
         cells += rng.multinomial(rng.poisson(pulses * lam), table)
@@ -490,10 +494,11 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
     if rounds <= 0:
         raise ValueError("rounds must be positive")
     tables = _protocol_tables()
+    born = expected_outcome_probabilities(config)
     d = tables[0].shape[1]
     total_cells = np.zeros((d, d, 2, d), dtype=np.int64)
     for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
-        total_cells += _block_counts(config, tables, block,
+        total_cells += _block_counts(config, tables, born, block,
                                      min(BLOCK_ROUNDS, rounds - start), seed)
     return CountsTable(dim=d, cells=total_cells)
 

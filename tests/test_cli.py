@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import mubcert
-from mubcert.cli import main
+from mubcert.cli import build_parser, main
 from mubcert.counts import write_counts_csv
+from mubcert.linalg import operator_norm, psd_sqrt
+from mubcert.mub import fourier_mub_pair, hadamard_mub_pair_d4, overlap_entropy
 from mubcert.photonics import SAMPLER_VERSION, ideal_expected_counts
 
 
@@ -57,6 +59,34 @@ class TestMubCommand:
 
     def test_unknown_construction_exits_2(self, tmp_path):
         assert run(["mub", "--construction", "bogus"], tmp_path) == 2
+
+    @pytest.mark.parametrize("d", ["hadamard-d4", *range(2, 9)])
+    def test_document_is_stdlib_json_of_per_effect_metrics(self, tmp_path, d):
+        # the bytes json.dumps writes for the pair's nested lists and the
+        # figures of merit computed one effect, or effect pair, at a time
+        if d == "hadamard-d4":
+            pair, args = hadamard_mub_pair_d4(), ["--construction", "hadamard-d4"]
+        else:
+            pair, args = fourier_mub_pair(d), ["--construction", "fourier", "--d", str(d)]
+        assert run(["mub", *args, "--out", "m.json"], tmp_path) == 0
+        roots_a = [psd_sqrt(e) for e in pair.first.effects]
+        roots_b = [psd_sqrt(e) for e in pair.second.effects]
+        doc = {
+            "construction": pair.construction,
+            **{key: {"dim": m.dim, "effects": np.stack([m.effects.real, m.effects.imag],
+                                                       axis=-1).tolist()}
+               for key, m in (("first", pair.first), ("second", pair.second))},
+            "metrics": {
+                "mutually_unbiased": True,
+                "overlap_entropy_bits": overlap_entropy(pair),
+                "norm_sum_first": float(sum(operator_norm(e) for e in pair.first.effects)),
+                "norm_sum_second": float(sum(operator_norm(e) for e in pair.second.effects)),
+                "max_sqrt_overlap": float(max(operator_norm(ra @ rb)
+                                              for ra in roots_a for rb in roots_b)),
+            },
+        }
+        expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert (tmp_path / "m.json").read_text() == expected
 
 
 class TestSimulateCommand:
@@ -422,6 +452,37 @@ class TestReplay:
         assert capsys.readouterr().err == (
             "data error: cannot replay m.json: its command is not a valid command\n")
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # each call must see its own flags and the defaults of the rest,
+        # not values an earlier call parsed
+        build_parser.cache_clear()
+        assert run(["simulate", "--ideal", "--out", "ideal.csv"], tmp_path) == 0
+        expected = tmp_path / "expected.csv"
+        write_counts_csv(ideal_expected_counts(60000), expected)
+        assert (tmp_path / "ideal.csv").read_bytes() == expected.read_bytes()
+
+        sim = tmp_path / "sim.csv"
+        assert run(["simulate", "--rounds", "50000", "--seed", "5", "--out", "sim.csv"],
+                   tmp_path) == 0
+        manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+        assert manifest["seed"] == 5
+        assert manifest["extra"]["mode"] == "monte-carlo"
+        assert manifest["extra"]["total_detections"] < 50000
+
+        assert run(["certify", "--asp", "0.74", "--sigma", "1e-4", "--d", "4",
+                    "--out", "asp.json"], tmp_path) == 0
+        assert json.loads((tmp_path / "asp.json").read_text())["asp"]["value"] == 0.74
+        assert run(["certify", "--counts", "ideal.csv"], tmp_path) == 0
+        assert json.loads((tmp_path / "certificate.json").read_text())["asp"]["value"] == 0.75
+
+        original = sim.read_bytes()
+        sim.unlink()
+        assert run(["replay", "sim.csv.manifest.json"], tmp_path) == 0
+        assert sim.read_bytes() == original
+        assert build_parser.cache_info().misses == 1
 
 
 class TestEntryPoint:

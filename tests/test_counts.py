@@ -104,3 +104,41 @@ def test_setting_totals(table):
     totals = table.setting_totals()
     assert totals.shape == (4, 4, 2)
     assert totals.sum() == table.total()
+
+
+def _rows_with(d, edits):
+    rows = _complete_rows(d)
+    for k, row in edits.items():
+        rows[k] = row
+    return rows
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({3: "1,1,2,1,1"}, r"^line 5: duplicate cell \(1,1,2,1\)$"),
+    ({4: "1,2,3,1,1"}, r"^line 6: index out of range$"),
+    ({4: "1,2,1,0,1"}, r"^line 6: index out of range$"),
+    ({6: "1,2,2,1,-4"}, r"^line 8: negative count$"),
+    ({7: "1,2,2,2,x"}, r"^line 9: non-integer field$"),
+    ({7: "1,2,2,2"}, r"^line 9: expected 5 fields$"),
+    ({2: "1,1,2,1,-1", 4: "1,2,3,1,1"}, r"^line 4: negative count$"),
+    ({2: "1,1,2,1,x", 1: "1,1,1,2,-1"}, r"^line 3: negative count$"),
+    ({0: f"1,1,1,1,{2**63}"}, "int64"),
+    ({0: f"1,1,1,1,{2**63}", 5: "1,2,1,2,x"}, r"^line 7: non-integer field$"),
+    ({1: f"1,1,1,{2**64},1"}, f"^largest index {2**64} needs"),
+], ids=["duplicate-in-full-grid", "y-index", "zero-index", "negative", "non-integer",
+        "field-count", "first-line-wins", "first-line-wins-over-non-integer",
+        "count-past-int64", "row-error-before-int64-sum", "index-past-int64"])
+def test_reports_first_offending_line(tmp_path, edits, message):
+    # a d=2 file of exactly 2*d^3 rows with the given rows replaced
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["i,j,y,outcome,count"] + _rows_with(2, edits)) + "\n")
+    with pytest.raises(CountsFormatError, match=message):
+        read_counts_csv(path)
+
+
+def test_blank_lines_between_rows_are_skipped(tmp_path, table):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    write_counts_csv(table, plain)
+    lines = plain.read_text().splitlines()
+    spaced.write_text("\n\n".join(lines[:3]) + "\n  \n" + "\n".join(lines[3:]) + "\n\n")
+    assert np.array_equal(read_counts_csv(spaced).cells, table.cells)

@@ -130,3 +130,34 @@ class TestValidatePovm:
 class TestPredicates:
     def test_is_psd_rejects_non_hermitian(self):
         assert not is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestStacks:
+    """A stack of matrices gets, matrix by matrix, what each gets alone."""
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        return g @ g.conj().swapaxes(-1, -2)
+
+    def test_operator_norm(self, stack):
+        norms = operator_norm(stack)
+        assert norms.shape == (2, 3)
+        assert norms.tolist() == [[operator_norm(m) for m in row] for row in stack]
+
+    def test_psd_sqrt_and_eig_hermitian(self, stack):
+        roots = psd_sqrt(stack)
+        w, v = eig_hermitian(stack)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(roots[idx], psd_sqrt(stack[idx]))
+            w1, v1 = eig_hermitian(stack[idx])
+            assert np.array_equal(w[idx], w1) and np.array_equal(v[idx], v1)
+
+    def test_validate_povm_needs_every_povm(self):
+        pair = hadamard_mub_pair_d4()
+        good = np.stack([pair.first.effects, pair.second.effects])
+        assert validate_povm(good, tol=1e-9)
+        bad = good.copy()
+        bad[1, 0] *= 2.0
+        assert not validate_povm(bad, tol=1e-9)

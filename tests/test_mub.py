@@ -11,6 +11,7 @@ from mubcert.mub import (
     Measurement,
     MubPair,
     depolarized_pair,
+    document_json,
     fourier_mub_pair,
     hadamard_mub_pair_d4,
     is_mutually_unbiased,
@@ -185,7 +186,7 @@ class TestOverlapDistribution:
 
 def to_json(pair):
     """The pair document as the ``mub`` command writes it."""
-    return json.dumps(mub_pair_to_dict(pair), indent=2, allow_nan=False)
+    return document_json(mub_pair_to_dict(pair))
 
 
 def effects_of(doc):
@@ -223,6 +224,20 @@ class TestSerialization:
                 else fourier_mub_pair(construction))
         digest = hashlib.sha256(to_json(pair).encode()).hexdigest()
         assert digest == self.DIGESTS[construction]
+
+    @pytest.mark.parametrize("construction", list(DIGESTS))
+    def test_writer_matches_stdlib_json(self, construction):
+        pair = (hadamard_mub_pair_d4() if construction == "hadamard-d4"
+                else fourier_mub_pair(construction))
+        doc = mub_pair_to_dict(pair)
+        listed = {key: ({**value, "effects": value["effects"].tolist()}
+                        if isinstance(value, dict) else value)
+                  for key, value in doc.items()}
+        assert to_json(pair) == json.dumps(listed, indent=2, allow_nan=False)
+
+    def test_writer_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            document_json({"effects": np.array([[0.5, np.inf]])})
 
 
 class TestEffectsOnlyMeasurement:

@@ -243,12 +243,14 @@ class TestSimulateCounts:
             phase_noise=PhaseNoiseConfig("random_walk", 1e-3),
         )
         tables = _protocol_tables()
+        born = expected_outcome_probabilities(cfg)
         seed = 99
         sizes = [70000, 70000, 60000]
-        cells_seq = [_block_counts(cfg, tables, b, n, seed) for b, n in enumerate(sizes)]
+        cells_seq = [_block_counts(cfg, tables, born, b, n, seed)
+                     for b, n in enumerate(sizes)]
         shuffled_total = np.zeros_like(cells_seq[0])
         for b in (2, 0, 1):
-            shuffled_total += _block_counts(cfg, tables, b, sizes[b], seed)
+            shuffled_total += _block_counts(cfg, tables, born, b, sizes[b], seed)
         assert np.array_equal(shuffled_total, sum(cells_seq))
 
     def test_dark_counts_add_background(self):
