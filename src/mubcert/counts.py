@@ -66,14 +66,16 @@ def write_counts_csv(table: CountsTable, path) -> None:
 def read_counts_csv(path) -> CountsTable:
     """Parse a counts CSV; rejects bad headers, rows and incomplete grids.
 
-    Blank lines are skipped and not counted in the line numbers of the
-    messages.  The fields are converted at once into an (n, 5) integer
-    array, int64 unless a value lies past that range, and every row check
-    runs on that array; the first offending line is reported.  Every row
-    is checked before the table is sized, so a stray large index is
-    reported instead of allocating a (d, d, 2, d) table for it.
+    Blank lines are skipped; a message names the offending line by its
+    number in the file, blank lines included.  The fields are converted
+    at once into an (n, 5) integer array, int64 unless a value lies past
+    that range, and every row check runs on that array; the first
+    offending line is reported.  Every row is checked before the table is
+    sized, so a stray large index is reported instead of allocating a
+    (d, d, 2, d) table for it.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    text = Path(path).read_text().splitlines()
+    lines = [ln for ln in text if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CountsFormatError(f"expected header {CSV_HEADER!r}")
     rows, stop, stop_error = _convert(lines[1:])
@@ -87,9 +89,10 @@ def read_counts_csv(path) -> CountsTable:
     if bad.size:
         k = bad[0]
         error = next(error for mask, error in failed if mask[k])
-        raise CountsFormatError(f"line {k + 2}: " + error.format(*rows[k, :4]))
+        raise CountsFormatError(f"line {_file_line(text, k + 1)}: "
+                                + error.format(*rows[k, :4]))
     if stop_error is not None:
-        raise CountsFormatError(f"line {stop + 2}: {stop_error}")
+        raise CountsFormatError(f"line {_file_line(text, stop + 1)}: {stop_error}")
     if not len(rows):
         raise CountsFormatError("no data rows")
     if sum(c.tolist()) > np.iinfo(np.int64).max:
@@ -104,6 +107,11 @@ def read_counts_csv(path) -> CountsTable:
     table = CountsTable.zeros(dim)
     table.cells[i - 1, j - 1, y - 1, b - 1] = c
     return table
+
+
+def _file_line(text: list, k: int) -> int:
+    """1-based number in the file of its k-th (0-based) non-blank line."""
+    return [n for n, ln in enumerate(text, 1) if ln.strip()][k]
 
 
 def _convert(rows: list) -> tuple[np.ndarray, int, str | None]:

@@ -17,10 +17,12 @@ Poisson source leaves Poisson(mu * det_efficiency) detected photons per
 pulse.  Where no two photons share a drawn phase, an outcome is a draw
 from the phase-averaged Born table, so the sampler draws whole
 per-setting counts from it: every photon without noise, and the
-single-photon pulses under Gaussian drift.  Only drift pulses with two
-or more photons and every click under the random walk, whose window
-shares its walk, get their own phases and Born row (see
-``_block_counts``); the sampler is exact either way.  Both phase-noise
+single-photon pulses under Gaussian drift.  The two photons of a
+two-photon drift pulse share its phases, and their outcome pair is a
+draw from the closed-form pair table (``_pair_table``).  Only drift
+pulses with three or more photons and every click under the random
+walk, whose window shares its walk, get their own phases and Born row
+(see ``_block_counts``); the sampler is exact either way.  Both phase-noise
 models damp every two-arm interference term by one closed-form factor
 (see ``_damping``), so fringe visibility, expected ASP and calibration
 to a target visibility are exact for every model;
@@ -51,7 +53,7 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
 # seed); bump it whenever that stream changes.  Manifests record it.
-SAMPLER_VERSION = "table-1"
+SAMPLER_VERSION = "table-2"
 
 # Rounds are processed in fixed-size blocks, each on an independent
 # substream of the master seed, so partial results merge identically
@@ -237,16 +239,52 @@ def expected_outcome_probabilities(config: InterferometerConfig) -> np.ndarray:
     ``_damping``.  For the random walk this is the average over whole
     stabilization windows.
     """
-    states, bras = _protocol_tables()
-    d = states.shape[1]
-    states = states * np.asarray(config.tau)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    # terms[ij, y, b, k]: arm k's share of the amplitude of outcome b
-    terms = np.einsum("ybk,sk->sybk", bras, states)
+    terms = _arm_amplitudes(config.tau)
+    d = terms.shape[-1]
     diagonal = np.sum(np.abs(terms) ** 2, axis=-1)
     full = np.abs(np.sum(terms, axis=-1)) ** 2
     probs = diagonal + _damping(config.phase_noise) * (full - diagonal)
     return probs.reshape(d, d, 2, d)
+
+
+def _arm_amplitudes(tau) -> np.ndarray:
+    """Arm k's share of the amplitude of outcome b, shape (d*d, 2, d, d).
+
+    Entry ``[i*d + j, y, b, k]`` is that share for input dits (i, j) and
+    Bob's input y+1, with the protocol kets weighted by ``tau`` and
+    renormalized; a pulse with preparation phases theta has amplitude
+    ``sum_k terms[..., k] * exp(i theta_k)`` for outcome b.
+    """
+    states, bras = _protocol_tables()
+    states = states * np.asarray(tau)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return np.einsum("ybk,sk->sybk", bras, states)
+
+
+def _pair_table(config: InterferometerConfig) -> np.ndarray:
+    """Joint outcome law of the two photons of a Gaussian-drift pulse, shape (2*d*d, d, d).
+
+    Entry ``[s, b, b']`` is E[p(b|theta) p(b'|theta)] for setting
+    s = 2*(i*d + j) + y, where p(.|theta) is the Born row of the pulse
+    with i.i.d. N(0, sigma^2) phases theta per arm: both photons see the
+    same theta and then land independently.  With A the arm amplitudes
+    (``_arm_amplitudes``), p(b|theta) p(b'|theta) is the sum over arms
+    k, l, m, n of A[b,k] A*[b,l] A[b',m] A*[b',n] exp(i c.theta) with
+    c = e_k - e_l + e_m - e_n, and exp(i c.theta) averages to
+    exp(-sigma^2 |c|^2 / 2), so the table is exact.  Its rows and
+    columns both sum to ``expected_outcome_probabilities(config)``.
+    """
+    amps = _arm_amplitudes(config.tau)
+    d = amps.shape[-1]
+    amps = amps.reshape(-1, d, d)
+    # outer[s, b, k*d + l] = A[s, b, k] A*[s, b, l]
+    outer = (amps[..., :, None] * amps[..., None, :].conj()).reshape(-1, d, d * d)
+    eye = np.eye(d)
+    c = (eye[:, None, None, None] - eye[None, :, None, None]
+         + eye[None, None, :, None] - eye[None, None, None, :])
+    moment = np.exp(-0.5 * config.phase_noise.sigma ** 2 * np.sum(c * c, axis=-1))
+    pairs = (outer @ moment.reshape(d * d, d * d) @ outer.transpose(0, 2, 1)).real
+    return np.maximum(pairs, 0.0)  # rounding can dip below 0 at a zero entry
 
 
 def ideal_expected_counts(total: int) -> CountsTable:
@@ -312,24 +350,28 @@ def _zero_truncated_poisson(lam: float, size: int,
     return 1 + rng.poisson(np.maximum(lam - first, 0.0))  # rounding can dip below 0
 
 
-def _poisson_at_least_two(lam: float, size: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Poisson(lam) draws conditioned on being at least 2, by rejection.
+def _poisson_at_least(m: int, lam: float, size: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Poisson(lam) draws conditioned on being at least m >= 2, by rejection.
 
-    Up to lam = 2 a proposal is K = 1 + a zero-truncated draw, whose pmf
-    is the target's times K / lam up to a constant, kept with probability
-    2 / K; above, a Poisson(lam) draw kept when at least 2.  Either keeps
-    more than half of its proposals.
+    Up to lam = m a proposal is K = (m - 1) + a zero-truncated draw,
+    whose pmf is the target's times K! / (K - m + 1)! up to a constant,
+    kept with probability m! (K - m + 1)! / K!, which is 1 at K = m;
+    above, a Poisson(lam) draw kept when at least m.  For m = 3 either
+    keeps more than two in five of its proposals.
     """
     out = np.empty(size, dtype=np.int64)
     todo = np.arange(size)
     while todo.size:
-        if lam <= 2.0:
-            k = 1 + _zero_truncated_poisson(lam, todo.size, rng)
-            keep = rng.random(todo.size) * k < 2.0
+        if lam <= m:
+            k = (m - 1) + _zero_truncated_poisson(lam, todo.size, rng)
+            falling = k.astype(float)  # K! / (K - m + 1)!
+            for i in range(1, m - 1):
+                falling *= k - i
+            keep = rng.random(todo.size) * falling < math.factorial(m)
         else:
             k = rng.poisson(lam, todo.size)
-            keep = k >= 2
+            keep = k >= m
         out[todo[keep]] = k[keep]
         todo = todo[~keep]
     return out
@@ -425,24 +467,29 @@ def _walk_hits(config: InterferometerConfig, tables, n_rounds: int,
 
 
 def _block_counts(config: InterferometerConfig, tables, born: np.ndarray,
-                  block_index: int, n_rounds: int, seed: int) -> np.ndarray:
+                  pairs: np.ndarray | None, block_index: int, n_rounds: int,
+                  seed: int) -> np.ndarray:
     """Simulate one block of rounds on its own substream; returns the cells.
 
-    ``born`` is ``expected_outcome_probabilities(config)``, which depends
-    only on the config, so ``simulate_counts`` builds it once for all
-    blocks.
+    ``born`` is ``expected_outcome_probabilities(config)`` and ``pairs``
+    is ``_pair_table(config)`` (read only under Gaussian drift with
+    sigma > 0); both depend only on the config, so ``simulate_counts``
+    builds them once for all blocks.
 
     Thinning the Poisson(mu) source by the detector efficiency leaves
     Poisson(lam) detected photons per pulse, lam = mu * det_efficiency.
     Where no two pulses share a phase, a photon that is alone in its
     pulse lands by the phase-averaged Born table, so whole per-setting
     counts are drawn from it: every photon without noise, the
-    single-photon pulses under Gaussian drift.  Only the pulses whose
-    photons share a drawn phase row take the event path (``_photon_hits``):
-    drift pulses with two or more photons, and every click under the
-    random walk, whose window shares its walk.  A setting
-    s = 2*(i*d + j) + y encodes the input dits and basis.  Output depends
-    only on the arguments, so blocks merge identically in any order.
+    single-photon pulses under Gaussian drift.  Under drift the pulses of
+    each setting split into 0, 1, 2 and at least 3 photons; the outcome
+    pairs of the two-photon pulses are one multinomial draw from the pair
+    table, and each pair adds a count to both of its outcomes.  Only the
+    drift pulses with three or more photons, which share a drawn phase
+    row, and every click under the random walk, whose window shares its
+    walk, take the event path (``_photon_hits``).  A setting
+    s = 2*(i*d + j) + y encodes the input dits and basis.  Output depends only on the arguments, so
+    blocks merge identically in any order.
     """
     d = tables[0].shape[1]
     n_settings = 2 * d * d
@@ -465,12 +512,16 @@ def _block_counts(config: InterferometerConfig, tables, born: np.ndarray,
         cells += rng.multinomial(rng.poisson(pulses * lam), table)
         return cells.reshape(d, d, 2, d)
 
-    # Gaussian drift: pulses with 0, 1 and at least 2 detected photons.
+    # Gaussian drift: pulses with 0, 1, 2 and at least 3 detected photons.
     p0 = math.exp(-lam)
-    split = rng.multinomial(pulses, [p0, lam * p0, max(0.0, -math.expm1(-lam) - lam * p0)])
+    p1, p2 = lam * p0, 0.5 * lam * lam * p0
+    split = rng.multinomial(pulses, [p0, p1, p2, max(0.0, -math.expm1(-lam) - p1 - p2)])
     cells += rng.multinomial(split[:, 1], table)
-    multi = np.repeat(np.arange(n_settings), split[:, 2])
-    n_photons = _poisson_at_least_two(lam, multi.size, rng)
+    pair_counts = rng.multinomial(split[:, 2], pairs.reshape(n_settings, d * d))
+    pair_counts = pair_counts.reshape(n_settings, d, d)
+    cells += pair_counts.sum(axis=2) + pair_counts.sum(axis=1)
+    multi = np.repeat(np.arange(n_settings), split[:, 3])
+    n_photons = _poisson_at_least(3, lam, multi.size, rng)
     phases = rng.normal(0.0, noise.sigma, (multi.size, d))
     hits = _photon_hits(multi, n_photons, phases, config.tau, tables, rng)
     cells += np.bincount(hits, minlength=n_settings * d).reshape(n_settings, d)
@@ -495,10 +546,12 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
         raise ValueError("rounds must be positive")
     tables = _protocol_tables()
     born = expected_outcome_probabilities(config)
+    noise = config.phase_noise
+    pairs = _pair_table(config) if noise.model == "gaussian_drift" and noise.sigma > 0.0 else None
     d = tables[0].shape[1]
     total_cells = np.zeros((d, d, 2, d), dtype=np.int64)
     for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
-        total_cells += _block_counts(config, tables, born, block,
+        total_cells += _block_counts(config, tables, born, pairs, block,
                                      min(BLOCK_ROUNDS, rounds - start), seed)
     return CountsTable(dim=d, cells=total_cells)
 

@@ -142,3 +142,16 @@ def test_blank_lines_between_rows_are_skipped(tmp_path, table):
     lines = plain.read_text().splitlines()
     spaced.write_text("\n\n".join(lines[:3]) + "\n  \n" + "\n".join(lines[3:]) + "\n\n")
     assert np.array_equal(read_counts_csv(spaced).cells, table.cells)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["1,1,1,1,1", "1,1,1,2,-1"], "^line 4: negative count$"),
+    (["1,1,1,1,1", "", "1,1,1,2"], "^line 5: expected 5 fields$"),
+    (["1,1,1,1,1", " ", "1,1,1,2,x"], "^line 5: non-integer field$"),
+])
+def test_messages_number_lines_in_the_file(tmp_path, rows, message):
+    # blank lines count: a blank line after the header moves every row down
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(["i,j,y,outcome,count", "", *rows]) + "\n")
+    with pytest.raises(CountsFormatError, match=message):
+        read_counts_csv(path)
