@@ -20,12 +20,13 @@ per-setting counts from it: every photon without noise, and the
 single-photon pulses under Gaussian drift.  The two photons of a
 two-photon drift pulse share its phases, and their outcome pair is a
 draw from the closed-form pair table (``_pair_table``).  Only drift
-pulses with three or more photons and every click under the random
-walk, whose window shares its walk, get their own phases and Born row
-(see ``_block_counts``); the sampler is exact either way.  Both phase-noise
-models damp every two-arm interference term by one closed-form factor
-(see ``_damping``), so fringe visibility, expected ASP and calibration
-to a target visibility are exact for every model;
+pulses with three or more photons and every clicking pulse under the
+random walk, whose window shares its walk, get their own phases and Born
+row; every model draws pulses per setting and dark gates per (setting,
+arm) alike (see ``_block_counts``).  The sampler is exact either way.
+Both phase-noise models damp every two-arm interference term by one
+closed-form factor (see ``_damping``), so fringe visibility, expected
+ASP and calibration to a target visibility are exact for every model;
 ``expected_outcome_probabilities`` is the one Born-rule table behind the
 expected figures and the sampler.  The config's
 keys, defaults and JSON types are those of its dataclasses.  A config is
@@ -53,7 +54,7 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
 # seed); bump it whenever that stream changes.  Manifests record it.
-SAMPLER_VERSION = "table-2"
+SAMPLER_VERSION = "table-3"
 
 # Rounds are processed in fixed-size blocks, each on an independent
 # substream of the master seed, so partial results merge identically
@@ -248,17 +249,19 @@ def expected_outcome_probabilities(config: InterferometerConfig) -> np.ndarray:
 
 
 def _arm_amplitudes(tau) -> np.ndarray:
-    """Arm k's share of the amplitude of outcome b, shape (d*d, 2, d, d).
+    """Arm k's share of the amplitude of outcome b, shape (2*d*d, d, d).
 
-    Entry ``[i*d + j, y, b, k]`` is that share for input dits (i, j) and
-    Bob's input y+1, with the protocol kets weighted by ``tau`` and
-    renormalized; a pulse with preparation phases theta has amplitude
-    ``sum_k terms[..., k] * exp(i theta_k)`` for outcome b.
+    Entry ``[s, b, k]`` is that share for setting s = 2*(i*d + j) + y,
+    that is input dits (i, j) and Bob's input y+1, with the protocol kets
+    weighted by ``tau`` and renormalized; a pulse with preparation phases
+    theta has amplitude ``sum_k amps[s, b, k] * exp(i theta_k)`` for
+    outcome b.
     """
     states, bras = _protocol_tables()
+    d = states.shape[1]
     states = states * np.asarray(tau)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return np.einsum("ybk,sk->sybk", bras, states)
+    return np.einsum("ybk,sk->sybk", bras, states).reshape(-1, d, d)
 
 
 def _pair_table(config: InterferometerConfig) -> np.ndarray:
@@ -276,7 +279,6 @@ def _pair_table(config: InterferometerConfig) -> np.ndarray:
     """
     amps = _arm_amplitudes(config.tau)
     d = amps.shape[-1]
-    amps = amps.reshape(-1, d, d)
     # outer[s, b, k*d + l] = A[s, b, k] A*[s, b, l]
     outer = (amps[..., :, None] * amps[..., None, :].conj()).reshape(-1, d, d * d)
     eye = np.eye(d)
@@ -406,101 +408,58 @@ def _damping(noise: PhaseNoiseConfig) -> float:
 
 # -- the experiment loop ------------------------------------------------------
 
-def _photon_hits(settings: np.ndarray, n_photons: np.ndarray, phases: np.ndarray,
-                 tau, tables, rng: np.random.Generator) -> np.ndarray:
+def _photon_hits(amps: np.ndarray, settings: np.ndarray, n_photons: np.ndarray,
+                 phases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Flat cell index of every photon of the given pulses.
 
     Pulse p has setting ``settings[p]``, ``n_photons[p]`` detected photons
-    and preparation phases ``phases[p]``.  Its Born row is that of its
-    tau-weighted ket times the phases, and each of its photons draws one
-    uniform against the row.  The cell of outcome b for setting s is
-    s*d + b, the flat index of ``CountsTable.cells``.
+    and preparation phases ``phases[p]``.  Its Born row is
+    ``|amps[s] @ exp(i theta)|^2`` with ``amps`` from ``_arm_amplitudes``,
+    and each of its photons draws one uniform against the row.  The cell
+    of outcome b for setting s is s*d + b, the flat index of
+    ``CountsTable.cells``.
     """
-    states, bras = tables
-    ij, y = np.divmod(settings, 2)
-    comps = states[ij]
-    comps *= tau  # the cum normalization below renormalizes
-    comps = comps * np.exp(1j * phases)
-    probs = np.empty(comps.shape)
-    for yv in range(2):
-        mask = y == yv
-        probs[mask] = np.abs(comps[mask] @ bras[yv].T) ** 2
+    d = amps.shape[-1]
+    probs = np.abs(amps[settings] @ np.exp(1j * phases)[:, :, None])[..., 0] ** 2
     cum = np.cumsum(probs, axis=1)
     cum /= cum[:, -1:]
 
     pulse_of_photon = np.repeat(np.arange(settings.size), n_photons)
     u = rng.random(pulse_of_photon.size)
     outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
-    return settings[pulse_of_photon] * states.shape[1] + outcome
+    return settings[pulse_of_photon] * d + outcome
 
 
-def _walk_hits(config: InterferometerConfig, tables, n_rounds: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Flat cell indices of one block's photon and dark clicks under the random walk.
-
-    Clicks in one stabilization window share its walk, so every pulse
-    that clicks is drawn, with its own phases and Born row.
-    """
-    d = tables[0].shape[1]
-    # Fixed draw order: clicking pulses, dark gates, settings, photon
-    # numbers, noise, then outcome uniforms.  Each pulse clicks
-    # independently with probability q.
-    lam = config.mu * config.det_efficiency
-    q = -math.expm1(-lam)
-    clicks = np.sort(rng.choice(n_rounds, rng.binomial(n_rounds, q),
-                                replace=False, shuffle=False))
-    dark = rng.choice(n_rounds * d, rng.binomial(n_rounds * d, config.dark_count_prob),
-                      replace=False, shuffle=False)
-    dark_pulse, dark_arm = np.divmod(dark, d)
-
-    # One setting per touched pulse, shared by its photon clicks and dark gates.
-    touched = np.sort(np.concatenate([clicks, dark_pulse]))
-    touched = touched[np.diff(touched, prepend=-1) > 0]
-    settings = rng.integers(0, 2 * d * d, touched.size)
-    clicked = settings[np.searchsorted(touched, clicks)]
-
-    n_detected = _zero_truncated_poisson(lam, clicks.size, rng)
-    phases = _walk_phases(config.phase_noise.sigma, clicks, d, rng)
-    return np.concatenate([
-        _photon_hits(clicked, n_detected, phases, config.tau, tables, rng),
-        settings[np.searchsorted(touched, dark_pulse)] * d + dark_arm])
-
-
-def _block_counts(config: InterferometerConfig, tables, born: np.ndarray,
+def _block_counts(config: InterferometerConfig, amps: np.ndarray, born: np.ndarray,
                   pairs: np.ndarray | None, block_index: int, n_rounds: int,
                   seed: int) -> np.ndarray:
     """Simulate one block of rounds on its own substream; returns the cells.
 
-    ``born`` is ``expected_outcome_probabilities(config)`` and ``pairs``
-    is ``_pair_table(config)`` (read only under Gaussian drift with
-    sigma > 0); both depend only on the config, so ``simulate_counts``
+    ``amps`` is ``_arm_amplitudes(config.tau)``, ``born`` is
+    ``expected_outcome_probabilities(config)`` and ``pairs`` is
+    ``_pair_table(config)`` (read only under Gaussian drift with
+    sigma > 0); all depend only on the config, so ``simulate_counts``
     builds them once for all blocks.
 
-    Thinning the Poisson(mu) source by the detector efficiency leaves
-    Poisson(lam) detected photons per pulse, lam = mu * det_efficiency.
-    Where no two pulses share a phase, a photon that is alone in its
-    pulse lands by the phase-averaged Born table, so whole per-setting
-    counts are drawn from it: every photon without noise, the
-    single-photon pulses under Gaussian drift.  Under drift the pulses of
-    each setting split into 0, 1, 2 and at least 3 photons; the outcome
-    pairs of the two-photon pulses are one multinomial draw from the pair
-    table, and each pair adds a count to both of its outcomes.  Only the
-    drift pulses with three or more photons, which share a drawn phase
-    row, and every click under the random walk, whose window shares its
-    walk, take the event path (``_photon_hits``).  A setting
-    s = 2*(i*d + j) + y encodes the input dits and basis.  Output depends only on the arguments, so
-    blocks merge identically in any order.
+    Every model first draws the pulses per setting and the dark gates per
+    (setting, arm); a setting s = 2*(i*d + j) + y encodes the input dits
+    and basis.  Each pulse has Poisson(lam) detected photons,
+    lam = mu * det_efficiency.  Without noise or at sigma = 0, whole
+    per-setting counts are drawn from the Born table.  Under drift each setting's pulses
+    split into 0, 1, 2 and at least 3 photons: single photons land by the
+    Born table, and each two-photon pulse adds both outcomes of one draw
+    from the pair table.  Under the random walk each setting's clicking
+    pulses are drawn, placed at a uniform sorted subset of the block's
+    pulses in a uniformly shuffled setting order; settings, photon
+    numbers and dark gates are i.i.d. per pulse, so this is exact.  The
+    drift pulses with three or more photons and the walk's clicking
+    pulses take the event path (``_photon_hits``) with their own phases.
+    Output depends only on the arguments, so blocks merge identically in
+    any order.
     """
-    d = tables[0].shape[1]
-    n_settings = 2 * d * d
+    n_settings, d = amps.shape[:2]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(block_index,)))
-    noise = config.phase_noise
-    if noise.model == "random_walk" and noise.sigma > 0.0:
-        cells = np.bincount(_walk_hits(config, tables, n_rounds, rng),
-                            minlength=n_settings * d)
-        return cells.reshape(d, d, 2, d)
-
     # Fixed draw order: pulses per setting, dark gates per (setting, arm),
     # then the photons.  A gate fires independently of the photons, with
     # its pulse's setting.
@@ -508,22 +467,30 @@ def _block_counts(config: InterferometerConfig, tables, born: np.ndarray,
     cells = rng.binomial(pulses[:, None], config.dark_count_prob, (n_settings, d))
     table = born.reshape(n_settings, d)
     lam = config.mu * config.det_efficiency
+    noise = config.phase_noise
     if noise.model == "none" or noise.sigma == 0.0:
         cells += rng.multinomial(rng.poisson(pulses * lam), table)
         return cells.reshape(d, d, 2, d)
 
-    # Gaussian drift: pulses with 0, 1, 2 and at least 3 detected photons.
-    p0 = math.exp(-lam)
-    p1, p2 = lam * p0, 0.5 * lam * lam * p0
-    split = rng.multinomial(pulses, [p0, p1, p2, max(0.0, -math.expm1(-lam) - p1 - p2)])
-    cells += rng.multinomial(split[:, 1], table)
-    pair_counts = rng.multinomial(split[:, 2], pairs.reshape(n_settings, d * d))
-    pair_counts = pair_counts.reshape(n_settings, d, d)
-    cells += pair_counts.sum(axis=2) + pair_counts.sum(axis=1)
-    multi = np.repeat(np.arange(n_settings), split[:, 3])
-    n_photons = _poisson_at_least(3, lam, multi.size, rng)
-    phases = rng.normal(0.0, noise.sigma, (multi.size, d))
-    hits = _photon_hits(multi, n_photons, phases, config.tau, tables, rng)
+    if noise.model == "gaussian_drift":
+        # pulses with 0, 1, 2 and at least 3 detected photons
+        p0 = math.exp(-lam)
+        p1, p2 = lam * p0, 0.5 * lam * lam * p0
+        split = rng.multinomial(pulses, [p0, p1, p2, max(0.0, -math.expm1(-lam) - p1 - p2)])
+        cells += rng.multinomial(split[:, 1], table)
+        pair_counts = rng.multinomial(split[:, 2], pairs.reshape(n_settings, d * d))
+        pair_counts = pair_counts.reshape(n_settings, d, d)
+        cells += pair_counts.sum(axis=2) + pair_counts.sum(axis=1)
+        events = np.repeat(np.arange(n_settings), split[:, 3])
+        n_photons = _poisson_at_least(3, lam, events.size, rng)
+        phases = rng.normal(0.0, noise.sigma, (events.size, d))
+    else:
+        clicks = rng.binomial(pulses, -math.expm1(-lam))
+        at = np.sort(rng.choice(n_rounds, clicks.sum(), replace=False, shuffle=False))
+        events = rng.permutation(np.repeat(np.arange(n_settings), clicks))
+        n_photons = _zero_truncated_poisson(lam, events.size, rng)
+        phases = _walk_phases(noise.sigma, at, d, rng)
+    hits = _photon_hits(amps, events, n_photons, phases, rng)
     cells += np.bincount(hits, minlength=n_settings * d).reshape(n_settings, d)
     return cells.reshape(d, d, 2, d)
 
@@ -544,14 +511,14 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
         rounds = config.default_rounds()
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    tables = _protocol_tables()
+    amps = _arm_amplitudes(config.tau)
     born = expected_outcome_probabilities(config)
     noise = config.phase_noise
     pairs = _pair_table(config) if noise.model == "gaussian_drift" and noise.sigma > 0.0 else None
-    d = tables[0].shape[1]
+    d = amps.shape[-1]
     total_cells = np.zeros((d, d, 2, d), dtype=np.int64)
     for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
-        total_cells += _block_counts(config, tables, born, pairs, block,
+        total_cells += _block_counts(config, amps, born, pairs, block,
                                      min(BLOCK_ROUNDS, rounds - start), seed)
     return CountsTable(dim=d, cells=total_cells)
 

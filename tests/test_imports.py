@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "mubcert").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "mubcert").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
@@ -33,3 +34,42 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == set()
+
+
+def unreferenced_private_names(trees: list[ast.Module]) -> set[str]:
+    """Module-private top-level functions and constants no module reads.
+
+    A name is private if it starts with ``_`` and is no dunder.  A read
+    inside the name's own definition, such as recursion, does not count.
+    """
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined.update(n for n in own if n.startswith("_") and not n.endswith("__"))
+            loads = [sub for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))
+                     and isinstance(sub.ctx, ast.Load)]
+            read.update({sub.id if isinstance(sub, ast.Name) else sub.attr for sub in loads} - own)
+    return defined - read
+
+
+def test_scan_finds_an_unreferenced_private_helper():
+    module = ast.parse("_LIMIT = 3\n__all__ = []\n"
+                       "def _dead():\n    return _LIMIT\n"
+                       "def _loop(n):\n    return _loop(n - 1)\n"
+                       "def _imported():\n    pass\n"
+                       "def _by_attribute():\n    pass\n")
+    caller = ast.parse("import m\nfrom m import _imported\n"
+                       "_imported()\nm._by_attribute()\n")
+    assert unreferenced_private_names([module, caller]) == {"_dead", "_loop"}
+
+
+def test_every_private_helper_is_referenced():
+    trees = [ast.parse(path.read_text()) for path in PACKAGE]
+    assert unreferenced_private_names(trees) == set()
