@@ -77,12 +77,14 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def operator_norm(m):
-    """Largest singular value of a (generally non-Hermitian) matrix.
+    """Largest singular value of a (generally non-Hermitian, or rectangular) matrix.
 
-    A float for one matrix; for a stack of shape (..., d, d), an array of
+    A float for one matrix; for a stack of shape (..., r, s), an array of
     shape (...) holding each matrix's norm.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected matrices, got shape {a.shape}")
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

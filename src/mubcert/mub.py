@@ -6,6 +6,9 @@ phase-only modulation), and the computational/Fourier pair available in
 every dimension.  The figures of merit are the overlap entropy (1/2-Renyi
 entropy of the normalized cross-overlap distribution, in bits), the sum of
 effect operator norms, and the maximal overlap of effect square roots.
+Every figure of merit reads the blocks ``K_i^dagger L_j`` of the pair's
+factors (``A_i = K_i K_i^dagger``, ``B_j = L_j L_j^dagger``): ``tr(A_i B_j)``
+is a block's squared Frobenius norm, ``||sqrt(A_i) sqrt(B_j)||`` its norm.
 A pair is checked to be a POVM pair when it is built; whether it is
 unbiased is left to ``is_mutually_unbiased``, which the ``mub`` command
 reports and ``qrac.optimal_states`` requires.  ``mub_pair_to_dict`` and
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotProjective
-from .linalg import DEFAULT_TOL, operator_norm, psd_sqrt, validate_povm
+from .linalg import DEFAULT_TOL, operator_norm, psd_sqrt
 
 CONSTRUCTION_HADAMARD_D4 = "hadamard-d4"
 CONSTRUCTION_FOURIER = "fourier"
@@ -43,13 +46,15 @@ class Measurement:
     """A d-outcome POVM; rank-1 projective in the MUB constructions.
 
     ``effects[b]`` is the operator for outcome ``b+1`` (outcomes are 1-based
-    externally).  ``vectors`` holds the kets, as rows, of a measurement
-    built by ``projective``, and is None otherwise; it is not serialized.
+    externally) and equals ``factors[b] @ factors[b]^dagger``: ``projective``
+    stores each ket as one column, otherwise the factors are the PSD square
+    roots, so an effect that is not Hermitian or PSD raises NotHermitian or
+    NotPSD.  The factors are not serialized.
     """
 
     dim: int
     effects: np.ndarray  # shape (d, d, d), complex
-    vectors: np.ndarray | None = field(default=None, repr=False)
+    factors: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.effects = np.asarray(self.effects, dtype=complex)
@@ -58,8 +63,8 @@ class Measurement:
                 f"expected {self.dim} effects of shape "
                 f"({self.dim}, {self.dim}), got {self.effects.shape}"
             )
-        if self.vectors is not None:
-            self.vectors = np.asarray(self.vectors, dtype=complex)
+        if self.factors is None:
+            self.factors = psd_sqrt(self.effects)
 
     @classmethod
     def projective(cls, vectors) -> "Measurement":
@@ -67,13 +72,13 @@ class Measurement:
         v = np.asarray(vectors, dtype=complex)
         d = v.shape[0]
         effects = np.einsum("ki,kj->kij", v, v.conj())
-        return cls(dim=d, effects=effects, vectors=v)
+        return cls(dim=d, effects=effects, factors=v[:, :, None])
 
     def basis_vectors(self) -> np.ndarray:
         """Kets of a measurement built by ``projective``, as rows."""
-        if self.vectors is None:
+        if self.factors.shape[-1] != 1:
             raise NotProjective("measurement was not built from kets")
-        return self.vectors
+        return self.factors[:, :, 0]
 
 
 @dataclass(eq=False)
@@ -87,7 +92,7 @@ class MubPair:
     def __post_init__(self):
         if self.first.dim != self.second.dim:
             raise DimensionMismatch("measurements do not share a dimension")
-        if not validate_povm(self.effects()):
+        if not np.max(np.abs(self.effects().sum(axis=1) - np.eye(self.dim))) <= DEFAULT_TOL:
             raise NotProjective("measurement effects do not form a POVM")
 
     @property
@@ -138,31 +143,33 @@ def fourier_mub_pair(d: int) -> MubPair:
     )
 
 
+def _cross_blocks(pair: MubPair) -> np.ndarray:
+    """The blocks ``K_i^dagger L_j`` of the two factor stacks, shape (d, d, r, s)."""
+    return np.einsum("iar,jas->ijrs", pair.first.factors.conj(), pair.second.factors)
+
+
 def overlap_matrix(pair: MubPair) -> np.ndarray:
     """Matrix of cross overlaps ``tr(A_i B_j)``, shape (d, d), real."""
-    return np.real(
-        np.einsum("iab,jba->ij", pair.first.effects, pair.second.effects)
-    )
+    return np.sum(np.abs(_cross_blocks(pair)) ** 2, axis=(2, 3))
 
 
 def is_mutually_unbiased(pair: MubPair, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``tr(A_i B_j) = 1/d`` for all outcome pairs, within ``tol``.
 
     Requires both measurements to be rank-1 projective (every effect with
-    unit operator norm and unit trace within ``tol``); raises NotProjective
+    unit operator norm and unit trace within ``tol``, read as the squared
+    operator and Frobenius norms of its factor); raises NotProjective
     otherwise.
     """
-    d = pair.dim
-    effects = pair.effects()
     slack = max(tol, 1e-7)
-    bad_norm = np.abs(operator_norm(effects) - 1.0) > slack
-    bad_trace = np.abs(np.trace(effects, axis1=-2, axis2=-1).real - 1.0) > slack
-    bad = np.flatnonzero(bad_norm | bad_trace)
-    if bad.size:
-        k = bad[0] % d
-        what = "norm" if bad_norm.flat[bad[0]] else "trace"
-        raise NotProjective(f"effect {k + 1} does not have unit {what}")
-    return bool(np.max(np.abs(overlap_matrix(pair) - 1.0 / d)) <= tol)
+    for meas in (pair.first, pair.second):
+        bad_norm = np.abs(operator_norm(meas.factors) ** 2 - 1.0) > slack
+        bad_trace = np.abs(np.sum(np.abs(meas.factors) ** 2, axis=(1, 2)) - 1.0) > slack
+        bad = np.flatnonzero(bad_norm | bad_trace)
+        if bad.size:
+            what = "norm" if bad_norm[bad[0]] else "trace"
+            raise NotProjective(f"effect {bad[0] + 1} does not have unit {what}")
+    return bool(np.max(np.abs(overlap_matrix(pair) - 1.0 / pair.dim)) <= tol)
 
 
 def overlap_entropy(pair: MubPair) -> float:
@@ -179,19 +186,17 @@ def overlap_entropy(pair: MubPair) -> float:
 
 
 def norm_sum(meas: Measurement) -> float:
-    """Sum of effect operator norms; equals d iff rank-1 projective."""
-    return float(sum(operator_norm(meas.effects).tolist()))
+    """Sum of effect operator norms ``||K_b||^2``; equals d iff rank-1 projective."""
+    return float(np.sum(operator_norm(meas.factors) ** 2))
 
 
 def max_sqrt_overlap(pair: MubPair) -> float:
-    """Maximum of ``||sqrt(A_i) sqrt(B_j)||`` over all outcome pairs.
+    """Maximum of ``||sqrt(A_i) sqrt(B_j)|| = ||K_i^dagger L_j||`` over all outcome pairs.
 
     Equals ``|<a_i|b_j>|`` for rank-1 projective measurements, hence
     ``1/sqrt(d)`` for a MUB pair and 1 for identical bases.
     """
-    roots_a, roots_b = psd_sqrt(pair.effects())
-    # all d^2 products in one stack of d^4 entries (268 MB at d = 64)
-    return float(operator_norm(roots_a[:, None] @ roots_b[None, :]).max())
+    return float(operator_norm(_cross_blocks(pair)).max())
 
 
 # -- JSON serialization -------------------------------------------------------

@@ -67,6 +67,12 @@ BLOCK_ROUNDS = 1 << 18
 # from the block before.
 STABILIZE_ROUNDS = 1 << 10
 
+# Largest detected-photon rate mu * det_efficiency a config accepts.  The
+# event path holds one entry per detected photon of a block, so a block's
+# memory grows with the rate, and numpy's Poisson sampler rejects rates
+# near 1e19 outright; 40 is the largest rate the sampler's tests cover.
+MAX_PHOTON_RATE = 40.0
+
 
 @dataclass(frozen=True)
 class PhaseNoiseConfig:
@@ -91,7 +97,11 @@ class PhaseNoiseConfig:
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Device parameters, checked when built; build variants with ``replace``."""
+    """Device parameters, checked when built; build variants with ``replace``.
+
+    The detected-photon rate ``mu * det_efficiency`` is at most
+    ``MAX_PHOTON_RATE`` (40 photons per pulse).
+    """
 
     d: int = 4
     mu: float = 0.2
@@ -118,6 +128,8 @@ class InterferometerConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        if self.mu * self.det_efficiency > MAX_PHOTON_RATE:
+            raise ConfigError(f"mu * det_efficiency must be at most {MAX_PHOTON_RATE:g}")
         if self.rep_rate <= 0.0 or self.integration_time <= 0.0:
             raise ConfigError("rep_rate and integration_time must be positive")
         if not 0.5 < self.rep_rate * self.integration_time < 2 ** 63:

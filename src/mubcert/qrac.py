@@ -64,17 +64,13 @@ def optimal_states(pair: MubPair) -> EncodingTable:
     """
     if not is_mutually_unbiased(pair, tol=1e-9):
         raise NotMub("optimal encodings require a mutually unbiased rank-1 pair")
-    d = pair.dim
     a = pair.first.basis_vectors()
     b = pair.second.basis_vectors()
-    states = np.empty((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            ov = np.vdot(a[i], b[j])
-            phase = np.exp(-1j * np.angle(ov)) if abs(ov) > 0 else 1.0
-            psi = a[i] + phase * b[j]
-            states[i, j] = psi / np.linalg.norm(psi)
-    return EncodingTable(dim=d, states=states)
+    # the angle of a zero overlap is 0, so its phase factor is 1
+    phase = np.exp(-1j * np.angle(a.conj() @ b.T))
+    psi = a[:, None, :] + phase[:, :, None] * b[None, :, :]
+    return EncodingTable(dim=pair.dim,
+                         states=psi / np.linalg.norm(psi, axis=-1, keepdims=True))
 
 
 def correct_outcomes(table: np.ndarray) -> np.ndarray:
@@ -108,8 +104,7 @@ def asp_from_density(rhos, pair: MubPair) -> float:
     d = pair.dim
     if rhos.shape != (d, d, d, d):
         raise DimensionMismatch(f"expected density table of shape ({d},)*4")
-    effects = np.stack([pair.first.effects, pair.second.effects])
-    born = np.einsum("ijkl,yblk->ijyb", rhos, effects).real
+    born = np.einsum("ijkl,yblk->ijyb", rhos, pair.effects()).real
     return float(correct_outcomes(born).mean())
 
 
@@ -131,14 +126,8 @@ def brute_force_optimal_asp(pair: MubPair) -> tuple[float, EncodingTable]:
     returned; only the value is contract-bearing.
     """
     d = pair.dim
-    states = np.empty((d, d, d), dtype=complex)
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            w, v = eig_hermitian(pair.first.effects[i] + pair.second.effects[j])
-            total += w[0]
-            states[i, j] = v[:, 0]
-    return float(total / (2 * d * d)), EncodingTable(dim=d, states=states)
+    w, v = eig_hermitian(pair.first.effects[:, None] + pair.second.effects[None, :])
+    return float(w[..., 0].sum() / (2 * d * d)), EncodingTable(dim=d, states=v[..., 0])
 
 
 def estimate_asp(counts: CountsTable) -> AspEstimate:

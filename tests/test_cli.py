@@ -62,8 +62,9 @@ class TestMubCommand:
 
     @pytest.mark.parametrize("d", ["hadamard-d4", *range(2, 9)])
     def test_document_is_stdlib_json_of_per_effect_metrics(self, tmp_path, d):
-        # the bytes json.dumps writes for the pair's nested lists and the
-        # figures of merit computed one effect, or effect pair, at a time
+        # the bytes json.dumps writes for the pair's nested lists, and the
+        # figures of merit within 1e-12 of those computed one effect, or
+        # effect pair, at a time
         if d == "hadamard-d4":
             pair, args = hadamard_mub_pair_d4(), ["--construction", "hadamard-d4"]
         else:
@@ -76,17 +77,21 @@ class TestMubCommand:
             **{key: {"dim": m.dim, "effects": np.stack([m.effects.real, m.effects.imag],
                                                        axis=-1).tolist()}
                for key, m in (("first", pair.first), ("second", pair.second))},
-            "metrics": {
-                "mutually_unbiased": True,
-                "overlap_entropy_bits": overlap_entropy(pair),
-                "norm_sum_first": float(sum(operator_norm(e) for e in pair.first.effects)),
-                "norm_sum_second": float(sum(operator_norm(e) for e in pair.second.effects)),
-                "max_sqrt_overlap": float(max(operator_norm(ra @ rb)
-                                              for ra in roots_a for rb in roots_b)),
-            },
         }
-        expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        assert (tmp_path / "m.json").read_text() == expected
+        reference = {
+            "overlap_entropy_bits": overlap_entropy(pair),
+            "norm_sum_first": float(sum(operator_norm(e) for e in pair.first.effects)),
+            "norm_sum_second": float(sum(operator_norm(e) for e in pair.second.effects)),
+            "max_sqrt_overlap": float(max(operator_norm(ra @ rb)
+                                          for ra in roots_a for rb in roots_b)),
+        }
+        text = (tmp_path / "m.json").read_text()
+        metrics = json.loads(text)["metrics"]
+        assert text == json.dumps({**doc, "metrics": metrics}, indent=2, allow_nan=False) + "\n"
+        assert metrics.pop("mutually_unbiased") is True
+        assert metrics.keys() == reference.keys()
+        for key, value in reference.items():
+            assert abs(metrics[key] - value) <= 1e-12, key
 
 
 class TestSimulateCommand:
@@ -135,6 +140,20 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps(doc))
         assert run(["simulate", "--config", str(cfg), "--seed", "1",
                     "--rounds", "5000", "--out", "x.csv"], tmp_path) == 3
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"mu": 1e308, "det_efficiency": 1.0},
+        {"mu": 41.0, "det_efficiency": 1.0},
+    ], ids=["mu-1e308", "rate-41"])
+    def test_photon_rate_above_the_cap_exits_3(self, tmp_path, capsys, doc):
+        # numpy cannot draw Poisson(1e308), and at large rates one block
+        # of photons outgrows memory
+        cfg = tmp_path / "bright.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["simulate", "--config", str(cfg), "--seed", "1",
+                    "--rounds", "5000", "--out", "x.csv"], tmp_path) == 3
+        assert "mu * det_efficiency" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_misspelled_noise_key_exits_3(self, tmp_path, capsys):

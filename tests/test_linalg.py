@@ -71,6 +71,14 @@ class TestOperatorNorm:
         assert abs(np.vdot(a1, b1)) == pytest.approx(0.5, abs=1e-12)
         assert operator_norm(prod) == pytest.approx(0.5, abs=1e-12)
 
+    def test_rectangular(self):
+        # a column's or a row's norm is its length; a stack gets one per matrix
+        v = np.array([3.0, 4.0j])
+        assert operator_norm(v[:, None]) == pytest.approx(5.0, abs=1e-12)
+        assert operator_norm(v[None, :]) == pytest.approx(5.0, abs=1e-12)
+        norms = operator_norm(np.ones((3, 2, 1, 4)))
+        assert norms.shape == (3, 2) and np.allclose(norms, 2.0, atol=1e-12)
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(5):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mubcert.errors import NotProjective
+from mubcert.cli import _pair_metrics
+from mubcert.errors import NotHermitian, NotProjective, NotPSD
 from mubcert.linalg import validate_povm
 from mubcert.mub import (
     HADAMARD4,
@@ -263,3 +264,56 @@ class TestDepolarizedPair:
         noisy = depolarized_pair(d4_pair, 0.95)
         assert validate_povm(noisy.first.effects, tol=1e-9)
         assert validate_povm(noisy.second.effects, tol=1e-9)
+
+
+def from_effects(meas):
+    """The same measurement given by its effects alone."""
+    return Measurement(dim=meas.dim, effects=meas.effects)
+
+
+class TestFactorFormulas:
+    """Every figure of merit reads the same number from kets as from effects."""
+
+    def test_kets_and_effects_agree(self, d4_pair, monkeypatch):
+        rng = np.random.default_rng(5)
+        f5 = fourier_mub_pair(5)
+        u = random_unitary(5, rng)
+        rotated = MubPair(*(Measurement.projective(m.basis_vectors() @ u.T)
+                            for m in (f5.first, f5.second)))
+        pairs = {"hadamard-d4": d4_pair, "rotated-fourier-5": rotated,
+                 **{f"fourier-{d}": fourier_mub_pair(d) for d in range(2, 9)}}
+        for name, pair in pairs.items():
+            from_kets = _pair_metrics(pair)
+            for first, second in ((from_effects(pair.first), from_effects(pair.second)),
+                                  (pair.first, from_effects(pair.second)),
+                                  (from_effects(pair.first), pair.second)):
+                other = _pair_metrics(MubPair(first=first, second=second))
+                assert other.pop("mutually_unbiased") is from_kets["mutually_unbiased"], name
+                for key, value in other.items():
+                    assert abs(value - from_kets[key]) <= 1e-12, (name, key)
+
+        def no_root(*args, **kwargs):
+            raise AssertionError("a pair built from kets took a square root")
+
+        monkeypatch.setattr("mubcert.mub.psd_sqrt", no_root)
+        assert _pair_metrics(fourier_mub_pair(64))["mutually_unbiased"] is True
+
+
+class TestPovmChecks:
+    def test_pair_whose_effects_do_not_sum_to_identity(self):
+        half = Measurement.projective(np.eye(2, dtype=complex)[:1].repeat(2, axis=0))
+        comp = Measurement.projective(np.eye(2, dtype=complex))
+        with pytest.raises(NotProjective, match="do not form a POVM"):
+            MubPair(first=comp, second=half)
+
+    def test_non_hermitian_effect(self):
+        effects = np.stack([np.eye(2) / 2, np.eye(2) / 2]).astype(complex)
+        effects[0, 0, 1] = 0.1
+        effects[1, 0, 1] = -0.1
+        with pytest.raises(NotHermitian):
+            Measurement(dim=2, effects=effects)
+
+    def test_indefinite_effect(self):
+        effects = np.stack([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
+        with pytest.raises(NotPSD):
+            Measurement(dim=2, effects=effects)

@@ -765,6 +765,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pulses"):
             InterferometerConfig.from_dict(doc)
 
+    def test_photon_rate_is_capped(self):
+        # built, never sampled: near the cap a block holds millions of photons
+        assert InterferometerConfig(mu=80.0, det_efficiency=0.5).mu == 80.0
+        with pytest.raises(ConfigError, match="at most 40"):
+            InterferometerConfig(mu=41.0, det_efficiency=1.0)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             InterferometerConfig.from_dict({"mu": 0.2, "bogus": 1})

@@ -138,6 +138,7 @@ CLI_FILES = {
     "null.json": "null",
     "blind.json": json.dumps({"det_efficiency": 0}),
     "dim.json": json.dumps({"mu": 1e-300}),
+    "bright.json": json.dumps({"mu": 1e308, "det_efficiency": 1.0}),
     "m.json": json.dumps({"command": ["bogus"]}),
 }
 SUBCOMMANDS = ("mub", "simulate", "certify", "figure-data", "replay")
