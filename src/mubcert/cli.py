@@ -23,7 +23,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,9 @@ class RunManifest:
         self.finished_utc = _utc_now()
         self.input_sha256 = {p: _sha256(p) for p in self.inputs}
         path = Path(str(primary_output) + ".manifest.json")
-        path.write_text(json.dumps(asdict(self), indent=2, allow_nan=False) + "\n")
+        # the fields hold JSON values already, so no deep copy (asdict) is needed
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         return path
 
 
@@ -271,7 +273,13 @@ def cmd_simulate(args, command) -> None:
             raise UsageError(f"--rounds: {exc}") from None
         extra["mode"] = "ideal"
     else:
-        table = simulate_counts(config, rounds=args.rounds, seed=seed)
+        try:
+            table = simulate_counts(config, rounds=args.rounds, seed=seed)
+        except ValueError as exc:  # too many rounds for int64 totals
+            if args.rounds is None:
+                raise ConfigError(f"rep_rate * integration_time gives too many pulses: "
+                                  f"{exc}") from None
+            raise UsageError(f"--rounds: {exc}") from None
         extra["mode"] = "monte-carlo"
         extra["sampler"] = SAMPLER_VERSION
     extra["total_detections"] = table.total()

@@ -24,6 +24,10 @@ pulses with three or more photons and every clicking pulse under the
 random walk, whose window shares its walk, get their own phases and Born
 row; every model draws pulses per setting and dark gates per (setting,
 arm) alike (see ``_block_counts``).  The sampler is exact either way.
+Only those event-path pulses cost memory, so a block is as many whole
+stabilization windows as hold about ``BLOCK_EVENTS`` of them
+(``_block_rounds``): up to 2**40 pulses without phase noise, and 28.5
+million under drift at mu * det_efficiency = 0.2.
 Both phase-noise models damp every two-arm interference term by one
 closed-form factor (see ``_damping``), so fringe visibility, expected
 ASP and calibration to a target visibility are exact for every model;
@@ -54,23 +58,34 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
 # seed); bump it whenever that stream changes.  Manifests record it.
-SAMPLER_VERSION = "table-3"
-
-# Rounds are processed in fixed-size blocks, each on an independent
-# substream of the master seed, so partial results merge identically
-# regardless of processing order.
-BLOCK_ROUNDS = 1 << 18
+SAMPLER_VERSION = "table-4"
 
 # Phase stabilization restarts the random walk at zero every
-# STABILIZE_ROUNDS pulses of the global pulse index.  It divides
-# BLOCK_ROUNDS, so every block starts on a restart and needs no state
-# from the block before.
+# STABILIZE_ROUNDS pulses of the global pulse index.  Every block is a
+# whole number of these windows, so it starts on a restart and needs no
+# state from the block before.
 STABILIZE_ROUNDS = 1 << 10
 
+# Rounds are processed in blocks, each on an independent substream of
+# the master seed, so partial results merge identically regardless of
+# processing order.  A block is as many whole windows as keep its
+# expected number of event-path pulses (see _block_rounds) within
+# BLOCK_EVENTS, which bounds the memory of its event path, and at most
+# MAX_BLOCK_ROUNDS pulses, which keeps every per-block draw within
+# numpy's int64 range.
+BLOCK_EVENTS = 1 << 15
+MAX_BLOCK_ROUNDS = 1 << 40
+
+# Largest rounds * max(1, lam + d * dark_count_prob), the expected
+# detections of a run, that simulate_counts accepts: the int64 totals
+# keep a factor of two in hand.
+MAX_RUN_DETECTIONS = 1 << 62
+
 # Largest detected-photon rate mu * det_efficiency a config accepts.  The
-# event path holds one entry per detected photon of a block, so a block's
-# memory grows with the rate, and numpy's Poisson sampler rejects rates
-# near 1e19 outright; 40 is the largest rate the sampler's tests cover.
+# event path holds one entry per detected photon of its pulses, so a
+# block's memory grows with the rate, and numpy's Poisson sampler rejects
+# rates near 1e19 outright; 40 is the largest rate the sampler's tests
+# cover.
 MAX_PHOTON_RATE = 40.0
 
 
@@ -420,6 +435,35 @@ def _damping(noise: PhaseNoiseConfig) -> float:
 
 # -- the experiment loop ------------------------------------------------------
 
+def _photon_split(lam: float) -> list[float]:
+    """P(N = 0), P(N = 1), P(N = 2) and P(N >= 3) for N ~ Poisson(lam)."""
+    p0 = math.exp(-lam)
+    p1, p2 = lam * p0, 0.5 * lam * lam * p0
+    return [p0, p1, p2, max(0.0, -math.expm1(-lam) - p1 - p2)]
+
+
+def _block_rounds(config: InterferometerConfig) -> int:
+    """Pulses per block: the most whole windows within the event budget.
+
+    A pulse takes the event path (``_photon_hits``) with probability
+    P(N >= 3) under Gaussian drift, 1 - exp(-lam) under the random walk
+    and 0 without noise or at sigma = 0, N ~ Poisson(lam) its detected
+    photons.  A block is the most whole windows that hold at most
+    BLOCK_EVENTS such pulses in expectation, but at least one window and
+    at most MAX_BLOCK_ROUNDS pulses.
+    """
+    lam = config.mu * config.det_efficiency
+    noise = config.phase_noise
+    if noise.model == "none" or noise.sigma == 0.0:
+        share = 0.0
+    elif noise.model == "gaussian_drift":
+        share = _photon_split(lam)[3]
+    else:
+        share = -math.expm1(-lam)
+    most = min(BLOCK_EVENTS / share, MAX_BLOCK_ROUNDS) if share > 0.0 else MAX_BLOCK_ROUNDS
+    return STABILIZE_ROUNDS * max(1, int(most) // STABILIZE_ROUNDS)
+
+
 def _photon_hits(amps: np.ndarray, settings: np.ndarray, n_photons: np.ndarray,
                  phases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Flat cell index of every photon of the given pulses.
@@ -432,7 +476,10 @@ def _photon_hits(amps: np.ndarray, settings: np.ndarray, n_photons: np.ndarray,
     ``CountsTable.cells``.
     """
     d = amps.shape[-1]
-    probs = np.abs(amps[settings] @ np.exp(1j * phases)[:, :, None])[..., 0] ** 2
+    rotation = np.empty(phases.shape, dtype=complex)  # exp(i theta)
+    np.cos(phases, out=rotation.real)
+    np.sin(phases, out=rotation.imag)
+    probs = np.abs(amps[settings] @ rotation[:, :, None])[..., 0] ** 2
     cum = np.cumsum(probs, axis=1)
     cum /= cum[:, -1:]
 
@@ -486,9 +533,7 @@ def _block_counts(config: InterferometerConfig, amps: np.ndarray, born: np.ndarr
 
     if noise.model == "gaussian_drift":
         # pulses with 0, 1, 2 and at least 3 detected photons
-        p0 = math.exp(-lam)
-        p1, p2 = lam * p0, 0.5 * lam * lam * p0
-        split = rng.multinomial(pulses, [p0, p1, p2, max(0.0, -math.expm1(-lam) - p1 - p2)])
+        split = rng.multinomial(pulses, _photon_split(lam))
         cells += rng.multinomial(split[:, 1], table)
         pair_counts = rng.multinomial(split[:, 2], pairs.reshape(n_settings, d * d))
         pair_counts = pair_counts.reshape(n_settings, d, d)
@@ -518,20 +563,36 @@ def simulate_counts(config: InterferometerConfig, rounds: int | None = None,
     ``rounds`` defaults to the number of pulses in one integration window
     (rep_rate * integration_time).  The result is bit-for-bit
     reproducible from (config, rounds, seed).
+
+    The rounds run in blocks of ``_block_rounds(config)`` pulses, block b
+    on substream b of the seed.  Pulses per setting, dark gates, photon
+    totals, the drift photon split and the pair draws are multinomial,
+    binomial and Poisson draws, whose sums over blocks have the law of
+    one draw over the run, and every event-path pulse has i.i.d. phases
+    or restarts its walk at a window, so the counts have the same law
+    for any block size.  Raises
+    ``ValueError`` before any draw when rounds * max(1, lam + d *
+    dark_count_prob), the run's expected detections, exceeds
+    ``MAX_RUN_DETECTIONS`` = 2**62, where an int64 total could wrap.
     """
     if rounds is None:
         rounds = config.default_rounds()
     if rounds <= 0:
         raise ValueError("rounds must be positive")
+    d = len(config.tau)
+    rate = max(1.0, config.mu * config.det_efficiency + d * config.dark_count_prob)
+    if rounds > MAX_RUN_DETECTIONS / rate:  # int against float compares exactly
+        raise ValueError(f"rounds * max(1, expected detections per pulse) must be at "
+                         f"most 2**62, got {rounds} rounds at {rate:g} per pulse")
     amps = _arm_amplitudes(config.tau)
     born = expected_outcome_probabilities(config)
     noise = config.phase_noise
     pairs = _pair_table(config) if noise.model == "gaussian_drift" and noise.sigma > 0.0 else None
-    d = amps.shape[-1]
+    size = _block_rounds(config)
     total_cells = np.zeros((d, d, 2, d), dtype=np.int64)
-    for block, start in enumerate(range(0, rounds, BLOCK_ROUNDS)):
+    for block, start in enumerate(range(0, rounds, size)):
         total_cells += _block_counts(config, amps, born, pairs, block,
-                                     min(BLOCK_ROUNDS, rounds - start), seed)
+                                     min(size, rounds - start), seed)
     return CountsTable(dim=d, cells=total_cells)
 
 

@@ -4,13 +4,14 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mubcert
-from mubcert.cli import build_parser, main
+from mubcert.cli import RunManifest, build_parser, main
 from mubcert.counts import write_counts_csv
 from mubcert.linalg import operator_norm, psd_sqrt
 from mubcert.mub import fourier_mub_pair, hadamard_mub_pair_d4, overlap_entropy
@@ -179,7 +180,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("doc", [
         {"rep_rate": 0.1},
         {"rep_rate": 1e308, "integration_time": 10},
-    ], ids=["empty", "past-float64"])
+        {"rep_rate": 5e18},  # within int64, past the 2**62 bound on a run's totals
+    ], ids=["empty", "past-float64", "past-run-bound"])
     def test_unusable_pulse_window_exits_3(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -244,6 +246,14 @@ class TestSimulateCommand:
         assert "config must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_rounds_past_int64_totals_exit_2_before_sampling(self, tmp_path, capsys):
+        # 1e20 pulses would be about 9e7 blocks of 2**40; the bound stops it first
+        assert run(["simulate", "--seed", "1", "--rounds", str(10 ** 20), "--out", "x.csv"],
+                   tmp_path) == 2
+        assert "2**62" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
     def test_ideal_conflicts_with_visibility_target(self, tmp_path):
         assert run(["simulate", "--ideal", "--visibility-target", "0.9989"],
                    tmp_path) == 2
@@ -266,6 +276,16 @@ class TestSimulateCommand:
         assert manifest["extra"]["python"] == platform.python_version()
         digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
         assert manifest["input_sha256"] == {"cfg.json": digest}
+
+    def test_manifests_are_the_json_of_their_fields(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"mu": 0.5}))
+        assert run(["simulate", "--config", "cfg.json", "--seed", "3", "--rounds", "5000",
+                    "--out", "c.csv"], tmp_path) == 0
+        assert run(["certify", "--counts", "c.csv", "--out", "cert.json"], tmp_path) == 0
+        for name in ("c.csv.manifest.json", "cert.json.manifest.json"):
+            text = (tmp_path / name).read_text()
+            manifest = RunManifest(**json.loads(text))
+            assert text == json.dumps(asdict(manifest), indent=2, allow_nan=False) + "\n"
 
     def test_visibility_target_calibrates_noise(self, tmp_path):
         counts = tmp_path / "cal.csv"

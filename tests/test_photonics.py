@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from mubcert import photonics
 from mubcert.errors import ConfigError
 from mubcert.mub import HADAMARD4, hadamard_mub_pair_d4, is_mutually_unbiased, MubPair, Measurement
 from mubcert.photonics import (
-    BLOCK_ROUNDS,
+    MAX_BLOCK_ROUNDS,
     STABILIZE_ROUNDS,
     InterferometerConfig,
     PhaseNoiseConfig,
     _arm_amplitudes,
     _block_counts,
+    _block_rounds,
     _damping,
     _pair_table,
     _poisson_at_least,
@@ -51,6 +53,25 @@ def encodings(d4_pair):
 # Measurement-stage phases that realise the pair's first and second basis.
 FIRST_BASIS_PHASES = (0.0, 0.0, 0.0, 0.0)
 SECOND_BASIS_PHASES = (math.pi, 0.0, 0.0, 0.0)
+
+
+# The benchmark's bright-drift device: perfect detectors, drift calibrated
+# to a mean fringe visibility of 0.9989, and dark counts.
+BRIGHT_DRIFT = replace(InterferometerConfig(), det_efficiency=1.0, dark_count_prob=1e-5,
+                       phase_noise=PhaseNoiseConfig("gaussian_drift", 0.0332))
+
+
+def record_blocks(monkeypatch):
+    """Record the pulses of every block that simulate_counts draws."""
+    sizes = []
+    original = photonics._block_counts
+
+    def counted(config, amps, born, pairs, block_index, n_rounds, seed):
+        sizes.append(n_rounds)
+        return original(config, amps, born, pairs, block_index, n_rounds, seed)
+
+    monkeypatch.setattr(photonics, "_block_counts", counted)
+    return sizes
 
 
 class TestMbsMatrix:
@@ -281,6 +302,24 @@ class TestSimulateCounts:
             est = estimate_asp(table)
             assert abs(est.value - 0.25) < 5 * est.sigma
 
+    @pytest.mark.parametrize("cfg, rounds", [
+        (InterferometerConfig(), 3_000_000),
+        (BRIGHT_DRIFT, 1_000_000),
+    ], ids=["weak-default", "bright-drift"])
+    def test_benchmark_runs_take_one_block(self, monkeypatch, cfg, rounds):
+        sizes = record_blocks(monkeypatch)
+        simulate_counts(cfg, rounds=rounds, seed=1)
+        assert sizes == [rounds]
+
+    def test_rounds_beyond_int64_totals_fail_before_any_draw(self, monkeypatch):
+        sizes = record_blocks(monkeypatch)
+        bright = replace(InterferometerConfig(), mu=40.0, det_efficiency=1.0)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            simulate_counts(bright, rounds=(1 << 62) // 20)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            simulate_counts(InterferometerConfig(), rounds=10 ** 400)
+        assert sizes == []
+
     def test_multiphoton_assignment_keeps_asp(self):
         # bright source, perfect detectors: ASP unaffected by multi-photon pulses
         cfg = replace(InterferometerConfig(), mu=2.0, det_efficiency=1.0)
@@ -288,26 +327,31 @@ class TestSimulateCounts:
         assert abs(est.value - 0.75) < 4 * est.sigma
 
     # sha256 of the counts CSV for 300k rounds at seed 424242 (sampler
-    # "table-3"); any change to the sampler's draw order or decoding
-    # changes these, and SAMPLER_VERSION must change with them.  The
-    # drift case runs the 0/1/2/3+ photon split, the pair table and the
-    # event path of the pulses with three or more photons; the walk case
-    # draws its clicks per setting, places them at a sorted subset of the
-    # block's pulses and sends them down the same event path.
+    # "table-4", one block each); any change to the sampler's draw order,
+    # decoding or block sizes changes these, and SAMPLER_VERSION must
+    # change with them.  The drift case runs the 0/1/2/3+ photon split,
+    # the pair table and the event path of the pulses with three or more
+    # photons; the walk case draws its clicks per setting, places them at
+    # a sorted subset of the block's pulses and sends them down the same
+    # event path.
     @pytest.mark.parametrize("changes, digest", [
         (dict(phase_noise=PhaseNoiseConfig(), dark_count_prob=0.0),
-         "3199685d45e49faed2bf5dc27403290153492d9e5c63e80493caa853ac64a697"),
+         "32371980d7bab992e998ed4888ee5603314eb5e4aa9da0af0bf4426913d94225"),
         (dict(phase_noise=PhaseNoiseConfig("random_walk", 1e-3), dark_count_prob=0.01),
-         "eaa08013db32b7ff42b8ece7a21440c5e6b215d517ed60bb06780521442850af"),
+         "93105fd378f852b8995654d9e79193cc822ab97a8b36f56fe221f3737f46076c"),
         (dict(det_efficiency=1.0, dark_count_prob=1e-5,
               phase_noise=PhaseNoiseConfig("gaussian_drift", 0.0332)),
-         "cde85c707ed76fd8db7ca78c89e2770099f323e320aa571bd815b2bfd89807bf"),
+         "1fc53910e2e02090ae61ec2396eb8ee53e9a952924a29760486e38d702734564"),
     ], ids=["default", "random-walk-dark", "drift-bright-dark"])
     def test_sampler_stream_is_pinned(self, tmp_path, changes, digest):
         cfg = replace(InterferometerConfig(), **changes)
         path = tmp_path / "counts.csv"
         write_counts_csv(simulate_counts(cfg, rounds=300_000, seed=424242), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_readme_names_the_sampler_version(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert f"`{photonics.SAMPLER_VERSION}`" in readme.read_text()
 
     def test_per_setting_distributions_match_born_rule(self):
         # catches any (i, j, y) decode swap inside the protocol loop
@@ -322,6 +366,35 @@ class TestSimulateCounts:
                     emp = row / row.sum()
                     tol = 5 * np.sqrt(0.75 * 0.25 / row.sum())
                     assert np.max(np.abs(emp - probs_exp[i, j, y])) < tol
+
+
+class TestBlockRounds:
+    """Blocks are whole windows sized by their expected event-path pulses."""
+
+    @pytest.mark.parametrize("model", ["gaussian_drift", "random_walk"])
+    @pytest.mark.parametrize("lam", [0.02, 0.2, 1.5, 40.0])
+    def test_most_whole_windows_within_the_budget(self, model, lam):
+        cfg = replace(InterferometerConfig(), mu=lam, det_efficiency=1.0,
+                      phase_noise=PhaseNoiseConfig(model, 0.1))
+        if model == "gaussian_drift":
+            share = 1.0 - math.exp(-lam) * (1.0 + lam + 0.5 * lam * lam)
+        else:
+            share = 1.0 - math.exp(-lam)
+        n = _block_rounds(cfg)
+        assert n % STABILIZE_ROUNDS == 0 and STABILIZE_ROUNDS <= n <= MAX_BLOCK_ROUNDS
+        if n > STABILIZE_ROUNDS:
+            assert n * share <= photonics.BLOCK_EVENTS * (1 + 1e-9)
+        if n < MAX_BLOCK_ROUNDS:
+            assert (n + STABILIZE_ROUNDS) * share > photonics.BLOCK_EVENTS * (1 - 1e-9)
+
+    @pytest.mark.parametrize("cfg", [
+        InterferometerConfig(),
+        replace(InterferometerConfig(), phase_noise=PhaseNoiseConfig("random_walk", 0.0)),
+        replace(InterferometerConfig(), det_efficiency=0.0,
+                phase_noise=PhaseNoiseConfig("gaussian_drift", 0.3)),
+    ], ids=["no-noise", "zero-sigma", "no-photons"])
+    def test_no_event_path_takes_the_largest_block(self, cfg):
+        assert _block_rounds(cfg) == MAX_BLOCK_ROUNDS
 
 
 def drift_config(sigma, tau=(1.0, 0.7, 1.0, 0.9)):
@@ -389,8 +462,11 @@ class TestPairTable:
             return original(config)
 
         monkeypatch.setattr(photonics, "_pair_table", counted)
+        monkeypatch.setattr(photonics, "BLOCK_EVENTS", 0)  # one window per block
+        sizes = record_blocks(monkeypatch)
         cfg = drift_config(0.3)
-        simulate_counts(cfg, rounds=2 * BLOCK_ROUNDS + 1000, seed=3)
+        simulate_counts(cfg, rounds=3 * STABILIZE_ROUNDS + 100, seed=3)
+        assert sizes == [STABILIZE_ROUNDS] * 3 + [100]
         assert built == [cfg]
 
 
@@ -430,6 +506,52 @@ def per_pulse_counts(cfg, n, seed):
     return np.bincount(hits, minlength=2 * d ** 3)
 
 
+def assert_matches_per_pulse(cfg, rounds, runs):
+    """The sampler's per-cell counts against ``per_pulse_counts`` over ``runs`` seeds."""
+    event = np.array([simulate_counts(cfg, rounds=rounds, seed=s).cells.ravel()
+                      for s in range(runs)])
+    pulse = np.array([per_pulse_counts(cfg, rounds, 10_000 + s)
+                      for s in range(runs)])
+    var_e, var_p = event.var(axis=0, ddof=1), pulse.var(axis=0, ddof=1)
+    z = (event.mean(axis=0) - pulse.mean(axis=0)) / np.sqrt((var_e + var_p) / runs)
+    # For equal distributions mean z^2 over the cells is 1 with standard
+    # deviation sqrt(2 mean rho^2); the random walk correlates the cells.
+    rho = np.corrcoef(np.vstack([event - event.mean(axis=0),
+                                 pulse - pulse.mean(axis=0)]).T)
+    assert np.mean(z ** 2) < 1 + 5 * np.sqrt(2 * np.mean(rho ** 2))
+    # In null comparisons over disjoint seeds (200 per case, 100 for
+    # drift-pairs) the largest |z| of a run reached 5.20 (default),
+    # 4.67 (drift-dark), 4.38 (walk-dark-bright), 4.85
+    # (drift-multiphoton) and 4.06 (drift-pairs); 3 of the 900 runs
+    # passed 4.5, none 5.3.  The walk sampler that places clicks at a
+    # sorted subset reached 3.78 (walk-dark-bright, 30 runs) and 3.68
+    # (walk-sparse-dark, 60 runs); one placing them at consecutive
+    # pulses reads 7.3 to 8.1 in walk-sparse-dark.
+    assert np.max(np.abs(z)) < 5.5
+    # each log variance ratio has a standard deviation near sqrt(4/runs)
+    log_ratio = np.log(var_e / var_p)
+    assert np.max(np.abs(log_ratio)) < 0.8
+    # and their mean one of sqrt(((K_e - 1).mean() + (K_p - 1).mean()) / runs),
+    # with K the co-kurtosis of each sampler's standardized counts;
+    # for normal counts K - 1 = 2 rho^2, but few counts per cell or a
+    # shared walk make them heavier-tailed.  In null comparisons over
+    # disjoint seeds the mean over this standard deviation had a spread
+    # of 0.87 to 1.23 per case (1.08 over all 200 comparisons, largest
+    # 3.64), where sqrt(4/runs * mean rho^2) gave 0.76 to 1.39.  Photons
+    # of one drift pulse share its phases, which widens the counts: a
+    # sampler drawing them from the averaged table reads about -8 to
+    # -12 of them.  Drawing only the two-photon pulses'
+    # outcomes independently narrows the counts less; only the
+    # many-run drift-pairs case (mostly two-photon pulses among the
+    # multi-photon ones) reads it, at about -7 to -11.
+    def excess_cokurtosis(counts):
+        sq = ((counts - counts.mean(axis=0)) / counts.std(axis=0)) ** 2
+        return np.mean(sq.T @ sq / runs - 1)
+
+    sd = np.sqrt((excess_cokurtosis(event) + excess_cokurtosis(pulse)) / runs)
+    assert abs(np.mean(log_ratio)) < 5 * sd
+
+
 class TestSamplerDistribution:
     """The sampler against a pulse-by-pulse model, over seeds."""
 
@@ -448,48 +570,22 @@ class TestSamplerDistribution:
     ], ids=["default", "drift-dark", "walk-dark-bright", "drift-multiphoton", "drift-pairs",
             "walk-sparse-dark"])
     def test_per_cell_mean_and_variance_match(self, cfg, rounds, runs):
-        event = np.array([simulate_counts(cfg, rounds=rounds, seed=s).cells.ravel()
-                          for s in range(runs)])
-        pulse = np.array([per_pulse_counts(cfg, rounds, 10_000 + s)
-                          for s in range(runs)])
-        var_e, var_p = event.var(axis=0, ddof=1), pulse.var(axis=0, ddof=1)
-        z = (event.mean(axis=0) - pulse.mean(axis=0)) / np.sqrt((var_e + var_p) / runs)
-        # For equal distributions mean z^2 over the cells is 1 with standard
-        # deviation sqrt(2 mean rho^2); the random walk correlates the cells.
-        rho = np.corrcoef(np.vstack([event - event.mean(axis=0),
-                                     pulse - pulse.mean(axis=0)]).T)
-        assert np.mean(z ** 2) < 1 + 5 * np.sqrt(2 * np.mean(rho ** 2))
-        # In null comparisons over disjoint seeds (200 per case, 100 for
-        # drift-pairs) the largest |z| of a run reached 5.20 (default),
-        # 4.67 (drift-dark), 4.38 (walk-dark-bright), 4.85
-        # (drift-multiphoton) and 4.06 (drift-pairs); 3 of the 900 runs
-        # passed 4.5, none 5.3.  The walk sampler that places clicks at a
-        # sorted subset reached 3.78 (walk-dark-bright, 30 runs) and 3.68
-        # (walk-sparse-dark, 60 runs); one placing them at consecutive
-        # pulses reads 7.3 to 8.1 in walk-sparse-dark.
-        assert np.max(np.abs(z)) < 5.5
-        # each log variance ratio has a standard deviation near sqrt(4/runs)
-        log_ratio = np.log(var_e / var_p)
-        assert np.max(np.abs(log_ratio)) < 0.8
-        # and their mean one of sqrt(((K_e - 1).mean() + (K_p - 1).mean()) / runs),
-        # with K the co-kurtosis of each sampler's standardized counts;
-        # for normal counts K - 1 = 2 rho^2, but few counts per cell or a
-        # shared walk make them heavier-tailed.  In null comparisons over
-        # disjoint seeds the mean over this standard deviation had a spread
-        # of 0.87 to 1.23 per case (1.08 over all 200 comparisons, largest
-        # 3.64), where sqrt(4/runs * mean rho^2) gave 0.76 to 1.39.  Photons
-        # of one drift pulse share its phases, which widens the counts: a
-        # sampler drawing them from the averaged table reads about -8 to
-        # -12 of them.  Drawing only the two-photon pulses'
-        # outcomes independently narrows the counts less; only the
-        # many-run drift-pairs case (mostly two-photon pulses among the
-        # multi-photon ones) reads it, at about -7 to -11.
-        def excess_cokurtosis(counts):
-            sq = ((counts - counts.mean(axis=0)) / counts.std(axis=0)) ** 2
-            return np.mean(sq.T @ sq / runs - 1)
+        assert_matches_per_pulse(cfg, rounds, runs)
 
-        sd = np.sqrt((excess_cokurtosis(event) + excess_cokurtosis(pulse)) / runs)
-        assert abs(np.mean(log_ratio)) < 5 * sd
+    @pytest.mark.parametrize("cfg", [
+        replace(InterferometerConfig(), mu=3.0, det_efficiency=0.5,
+                phase_noise=PhaseNoiseConfig("gaussian_drift", 1.0)),
+        replace(InterferometerConfig(), mu=3.0, det_efficiency=0.5, dark_count_prob=0.01,
+                phase_noise=PhaseNoiseConfig("random_walk", 0.02)),
+    ], ids=["drift", "walk"])
+    def test_multi_block_runs_match(self, monkeypatch, cfg):
+        # 195 (drift) and 795 (walk) event-path pulses per window here, so
+        # a budget of 256 makes one-window blocks: four whole, one partial
+        monkeypatch.setattr(photonics, "BLOCK_EVENTS", 256)
+        sizes = record_blocks(monkeypatch)
+        simulate_counts(cfg, rounds=5_000, seed=0)
+        assert sizes == [STABILIZE_ROUNDS] * 4 + [5_000 - 4 * STABILIZE_ROUNDS]
+        assert_matches_per_pulse(cfg, 5_000, 200)
 
     @pytest.mark.parametrize("density", [0.002, 1.0], ids=["sparse", "dense"])
     def test_walk_at_events_matches_closed_form(self, density):
@@ -529,7 +625,7 @@ class TestWalkClosedForm:
         # the pulse t pulses after a restart carries t + 1 steps, so its
         # phase has variance (t + 1) sigma^2 in every arm
         sigma = 0.03
-        events = np.arange(offset, BLOCK_ROUNDS, STABILIZE_ROUNDS)
+        events = np.arange(offset, 256 * STABILIZE_ROUNDS, STABILIZE_ROUNDS)  # 256 windows
         ratios = np.concatenate([
             (_walk_phases(sigma, events, 4, np.random.default_rng(seed))
              / sigma).ravel() ** 2
