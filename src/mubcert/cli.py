@@ -243,7 +243,7 @@ def cmd_simulate(args, command) -> None:
     if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         config = InterferometerConfig.from_dict(doc)
     else:

@@ -2,14 +2,15 @@
 
 A counts table records, for each input setting ``(i, j, y)`` and detector
 outcome, how many detections were registered.  The CSV format is
-``i,j,y,outcome,count`` with 1-based indices, one row per cell, rows in
-canonical sorted order.  On read, d is the largest index, and the file
-must hold each of the 2*d^3 cells exactly once.
+``i,j,y,outcome,count`` with 1-based indices, one row per cell; the
+writer puts the rows in canonical sorted order.  On read, d is the
+largest index, and the file must hold each of the 2*d^3 cells exactly
+once, in any order.  One vectorized test accepts a valid file; a
+per-line loop reads any other file and writes every message.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,98 +65,91 @@ def write_counts_csv(table: CountsTable, path) -> None:
 
 
 def read_counts_csv(path) -> CountsTable:
-    """Parse a counts CSV; rejects bad headers, rows and incomplete grids.
+    """Parse a counts CSV; rejects undecodable text, bad headers, rows and incomplete grids.
 
     Blank lines are skipped; a message names the offending line by its
-    number in the file, blank lines included.  The fields are converted
-    at once into an (n, 5) integer array, int64 unless a value lies past
-    that range, and every row check runs on that array; the first
-    offending line is reported.  Every row is checked before the table is
-    sized, so a stray large index is reported instead of allocating a
-    (d, d, 2, d) table for it.
+    number in the file, blank lines included.  A vectorized test accepts
+    a well-formed file at once (``_accepted_rows``); any other file is
+    read line by line (``_checked_rows``), which reports the first
+    offending line.  Every row is checked before the table is sized, so
+    a stray large index is reported instead of allocating a (d, d, 2, d)
+    table for it.
     """
-    text = Path(path).read_text().splitlines()
+    try:
+        text = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CountsFormatError(f"cannot decode the file: {exc}") from exc
     lines = [ln for ln in text if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CountsFormatError(f"expected header {CSV_HEADER!r}")
-    rows, stop, stop_error = _convert(lines[1:])
+    rows = _accepted_rows(lines[1:])
+    if rows is None:
+        rows = _checked_rows(text)
     i, j, y, b, c = rows.T
-    failed = (
-        ((i < 1) | (j < 1) | (b < 1) | ((y != 1) & (y != 2)), "index out of range"),
-        (c < 0, "negative count"),
-        (_repeats(rows[:, :4]), "duplicate cell ({},{},{},{})"),
-    )
-    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in failed]))
-    if bad.size:
-        k = bad[0]
-        error = next(error for mask, error in failed if mask[k])
-        raise CountsFormatError(f"line {_file_line(text, k + 1)}: "
-                                + error.format(*rows[k, :4]))
-    if stop_error is not None:
-        raise CountsFormatError(f"line {_file_line(text, stop + 1)}: {stop_error}")
-    if not len(rows):
+    table = CountsTable.zeros(int(max(i.max(), j.max(), b.max())))
+    table.cells[i - 1, j - 1, y - 1, b - 1] = c
+    return table
+
+
+def _accepted_rows(lines: list) -> np.ndarray | None:
+    """The data rows as an (n, 5) int64 array if they form a valid file, else None.
+
+    Accepts only rows of five int64 fields that hold each of the 2*d^3
+    cells once, d >= 2, with no negative count and counts too small for
+    their sum to pass int64.  Writes no message: ``_checked_rows`` reads
+    whatever this does not accept and finds its first offending line.
+    """
+    try:
+        rows = np.array([ln.split(",") for ln in lines], dtype=np.int64)
+    except (ValueError, OverflowError):  # a ragged row, a non-integer or a value past int64
+        return None
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        return None
+    i, j, y, b, c = rows.T
+    n, dim = len(rows), int(max(i.max(), j.max(), b.max()))
+    if (dim < 2 or n != 2 * dim**3 or min(i.min(), j.min(), b.min()) < 1
+            or not ((y == 1) | (y == 2)).all() or c.min() < 0
+            or c.max() > np.iinfo(np.int64).max // n):  # the loop checks the sum exactly
+        return None
+    cell = (((i - 1) * dim + j - 1) * 2 + y - 1) * dim + b - 1
+    return rows if np.bincount(cell, minlength=n).max() == 1 else None
+
+
+def _checked_rows(text: list) -> np.ndarray:
+    """The data rows of the file's lines as an (n, 5) int64 array, checked one line at a time.
+
+    Each row is checked for 5 fields, integer fields, indices in range,
+    a nonnegative count and a new cell, in that order, and the first
+    offending line is reported; then the file is checked for data rows,
+    an int64 sum of counts, d >= 2 and 2*d^3 rows.
+    """
+    numbered = [(n, ln) for n, ln in enumerate(text, 1) if ln.strip()][1:]  # after the header
+    rows, seen = [], set()
+    for n, ln in numbered:
+        fields = ln.split(",")
+        if len(fields) != 5:
+            raise CountsFormatError(f"line {n}: expected 5 fields")
+        try:
+            i, j, y, b, c = map(int, fields)
+        except ValueError:
+            raise CountsFormatError(f"line {n}: non-integer field") from None
+        if min(i, j, b) < 1 or y not in (1, 2):
+            raise CountsFormatError(f"line {n}: index out of range")
+        if c < 0:
+            raise CountsFormatError(f"line {n}: negative count")
+        if (i, j, y, b) in seen:
+            raise CountsFormatError(f"line {n}: duplicate cell ({i},{j},{y},{b})")
+        seen.add((i, j, y, b))
+        rows.append((i, j, y, b, c))
+    if not rows:
         raise CountsFormatError("no data rows")
-    if sum(c.tolist()) > np.iinfo(np.int64).max:
+    if sum(row[4] for row in rows) > np.iinfo(np.int64).max:
         raise CountsFormatError("counts add up past the int64 range")
-    dim = int(max(i.max(), j.max(), b.max()))
+    dim = max(max(i, j, b) for i, j, _, b, _ in rows)
     if dim < 2:
         raise CountsFormatError(f"largest index {dim} gives d < 2")
     if len(rows) != 2 * dim**3:
         raise CountsFormatError(
             f"largest index {dim} needs {2 * dim**3} data rows, got {len(rows)}"
         )
-    table = CountsTable.zeros(dim)
-    table.cells[i - 1, j - 1, y - 1, b - 1] = c
-    return table
-
-
-def _file_line(text: list, k: int) -> int:
-    """1-based number in the file of its k-th (0-based) non-blank line."""
-    return [n for n, ln in enumerate(text, 1) if ln.strip()][k]
-
-
-def _convert(rows: list) -> tuple[np.ndarray, int, str | None]:
-    """Convert data rows to an (n, 5) integer array, up to the first malformed row.
-
-    A row is malformed if it does not have 5 fields or a field is no
-    integer.  Returns the array of the rows before it, the malformed
-    row's index (``len(rows)`` if there is none) and why it is malformed
-    (None if there is none).
-    """
-    fields = [ln.split(",") for ln in rows]
-    stop = next((k for k, parts in enumerate(fields) if len(parts) != 5), len(fields))
-    error = None if stop == len(rows) else "expected 5 fields"
-    flat = list(itertools.chain.from_iterable(fields[:stop]))
-    try:
-        values = _integers(flat)
-    except ValueError:
-        # only a bad file gets here: find its first non-integer field
-        k = next(k for k, text in enumerate(flat) if not _is_integer(text))
-        stop, error = k // 5, "non-integer field"
-        values = _integers(flat[:k - k % 5])
-    return values.reshape(-1, 5), stop, error
-
-
-def _integers(texts: list) -> np.ndarray:
-    """The fields as int64, or as exact Python ints (object dtype) if one lies past int64."""
-    try:
-        return np.array(texts, dtype=np.int64)
-    except OverflowError:
-        return np.array([int(text) for text in texts], dtype=object)
-
-
-def _is_integer(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key row an earlier row already holds."""
-    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep their file order
-    ordered = keys[order]
-    repeat = np.zeros(len(keys), dtype=bool)
-    repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
-    return repeat
+    return np.array(rows, dtype=np.int64)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -159,7 +159,11 @@ class InterferometerConfig:
         return int(round(self.rep_rate * self.integration_time))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "tau": list(self.tau)}
+        # from the fields, not asdict: the values are immutable and need no deep copy
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        noise = self.phase_noise
+        return {**doc, "phase_noise": {f.name: getattr(noise, f.name) for f in fields(noise)},
+                "tau": list(self.tau)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InterferometerConfig":
@@ -275,20 +279,24 @@ def expected_outcome_probabilities(config: InterferometerConfig) -> np.ndarray:
     return probs.reshape(d, d, 2, d)
 
 
-def _arm_amplitudes(tau) -> np.ndarray:
-    """Arm k's share of the amplitude of outcome b, shape (2*d*d, d, d).
+@functools.lru_cache(maxsize=16)
+def _arm_amplitudes(tau: tuple) -> np.ndarray:
+    """Arm k's share of the amplitude of outcome b, shape (2*d*d, d, d) (read-only).
 
     Entry ``[s, b, k]`` is that share for setting s = 2*(i*d + j) + y,
     that is input dits (i, j) and Bob's input y+1, with the protocol kets
     weighted by ``tau`` and renormalized; a pulse with preparation phases
     theta has amplitude ``sum_k amps[s, b, k] * exp(i theta_k)`` for
-    outcome b.
+    outcome b.  Built once per ``tau``, shared by the expected tables and
+    the sampler.
     """
     states, bras = _protocol_tables()
     d = states.shape[1]
     states = states * np.asarray(tau)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return np.einsum("ybk,sk->sybk", bras, states).reshape(-1, d, d)
+    amps = np.einsum("ybk,sk->sybk", bras, states).reshape(-1, d, d)
+    amps.flags.writeable = False
+    return amps
 
 
 def _pair_table(config: InterferometerConfig) -> np.ndarray:
@@ -483,10 +491,11 @@ def _photon_hits(amps: np.ndarray, settings: np.ndarray, n_photons: np.ndarray,
     cum = np.cumsum(probs, axis=1)
     cum /= cum[:, -1:]
 
-    pulse_of_photon = np.repeat(np.arange(settings.size), n_photons)
-    u = rng.random(pulse_of_photon.size)
-    outcome = (u[:, None] > cum[pulse_of_photon]).sum(axis=1)
-    return settings[pulse_of_photon] * d + outcome
+    u = rng.random(n_photons.sum())
+    cell = np.repeat(settings * d, n_photons)
+    for b in range(d - 1):  # the last column is exactly 1, which no uniform passes
+        cell += u > np.repeat(cum[:, b], n_photons)
+    return cell
 
 
 def _block_counts(config: InterferometerConfig, amps: np.ndarray, born: np.ndarray,

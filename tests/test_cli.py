@@ -28,6 +28,12 @@ def run(args, cwd):
         os.chdir(old)
 
 
+def assert_one_line_error(err, start):
+    """A command's stderr is the one line of its error message, with no traceback."""
+    assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 class TestMubCommand:
     def test_hadamard_metrics(self, tmp_path):
         out = tmp_path / "pair.json"
@@ -156,6 +162,12 @@ class TestSimulateCommand:
                     "--rounds", "5000", "--out", "x.csv"], tmp_path) == 3
         assert "mu * det_efficiency" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_undecodable_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"mu": 0.2\xff}')
+        assert run(["simulate", "--config", str(cfg), "--out", "c.csv"], tmp_path) == 3
+        assert_one_line_error(capsys.readouterr().err, "config error: cannot read config")
 
     def test_misspelled_noise_key_exits_3(self, tmp_path, capsys):
         # "sigm" would otherwise leave sigma at 0 and run without noise
@@ -355,6 +367,12 @@ class TestCertifyCommand:
         bad.write_text("i,j,y,outcome,count\n1,1,1,1,5\n1,1,1,1,5\n")
         assert run(["certify", "--counts", str(bad)], tmp_path) == 4
 
+    def test_undecodable_counts_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"i,j,y,outcome,count\n1,1,1,1,\xff\n")
+        assert run(["certify", "--counts", str(bad)], tmp_path) == 4
+        assert_one_line_error(capsys.readouterr().err, "data error: cannot decode")
+
     def test_dimension_one_exits_2(self, tmp_path):
         # and a --d past the parser's bound, too large for numpy's sqrt
         for d in ("1", "100000000000000000000"):
@@ -429,6 +447,12 @@ class TestFigureDataCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
         assert run(["figure-data", "--counts", str(bad)], tmp_path) == 4
+
+    def test_undecodable_counts_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        assert run(["figure-data", "--counts", str(bad)], tmp_path) == 4
+        assert_one_line_error(capsys.readouterr().err, "data error: cannot decode")
 
 
 class TestReplay:

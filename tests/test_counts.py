@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mubcert import counts
 from mubcert.counts import CountsTable, read_counts_csv, write_counts_csv
 from mubcert.errors import CountsFormatError
+from mubcert.photonics import ideal_expected_counts
 
 
 @pytest.fixture
@@ -155,3 +157,30 @@ def test_messages_number_lines_in_the_file(tmp_path, rows, message):
     path.write_text("\n".join(["i,j,y,outcome,count", "", *rows]) + "\n")
     with pytest.raises(CountsFormatError, match=message):
         read_counts_csv(path)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, None],
+                         ids=["d2", "d3", "d4", "d5", "d6", "d7", "d8", "ideal"])
+def test_valid_files_pass_the_vectorized_accept_test(tmp_path, monkeypatch, d):
+    # a valid file never needs the per-line check, which would cost every
+    # certify and figure-data call about twice the parse time
+    if d is None:
+        table = ideal_expected_counts(60000)  # the table simulate --ideal writes
+    else:
+        table = CountsTable(dim=d, cells=np.random.default_rng(d).integers(0, 10**6, (d, d, 2, d)))
+    path = tmp_path / "counts.csv"
+    write_counts_csv(table, path)
+    lines = path.read_text().splitlines()
+    order = np.random.default_rng(3).permutation(len(lines) - 1) + 1
+    shuffled = tmp_path / "shuffled.csv"  # rows out of order, padded, with blank lines
+    shuffled.write_text("\n\n" + lines[0] + "\n" + "\n \n".join(
+        f" {lines[k]} " for k in order) + "\n")
+
+    def refuse(text):
+        raise AssertionError("the per-line check ran on a valid file")
+
+    monkeypatch.setattr(counts, "_checked_rows", refuse)
+    for p in (path, shuffled):
+        back = read_counts_csv(p)
+        assert back.dim == table.dim
+        assert np.array_equal(back.cells, table.cells)

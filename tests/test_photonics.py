@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +469,14 @@ class TestPairTable:
         assert sizes == [STABILIZE_ROUNDS] * 3 + [100]
         assert built == [cfg]
 
+    def test_arm_amplitudes_are_built_once_per_call(self):
+        # simulate_counts, the Born table and the pair table share one build
+        _arm_amplitudes.cache_clear()
+        cfg = drift_config(0.3, tau=(1.0, 0.5, 1.0, 0.75))
+        simulate_counts(cfg, rounds=1000, seed=3)
+        assert _arm_amplitudes.cache_info().misses == 1
+        assert not _arm_amplitudes(cfg.tau).flags.writeable
+
 
 def per_pulse_counts(cfg, n, seed):
     """Counts of one n-pulse block drawn pulse by pulse.
@@ -831,6 +839,11 @@ class TestConfig:
         )
         back = InterferometerConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    def test_to_dict_is_asdict_with_a_tau_list(self):
+        cfg = replace(InterferometerConfig(), phase_noise=PhaseNoiseConfig("random_walk", 0.01),
+                      tau=(1.0, 0.5, 1.0, 0.25))
+        assert cfg.to_dict() == {**asdict(cfg), "tau": [1.0, 0.5, 1.0, 0.25]}
 
     def test_is_immutable(self):
         cfg = InterferometerConfig()

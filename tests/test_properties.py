@@ -1,4 +1,4 @@
-"""Property tests: counts CSV round trip, config validation, bound slopes,
+"""Property tests: counts CSV round trip and reader paths, config validation, bound slopes,
 phase-noise calibration, CLI exit codes.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
@@ -12,10 +12,11 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,7 +30,7 @@ from mubcert.certify import (
 )
 from mubcert.cli import main
 from mubcert.counts import CountsTable, read_counts_csv, write_counts_csv
-from mubcert.errors import ConfigError
+from mubcert.errors import ConfigError, CountsFormatError
 from mubcert.photonics import (
     NOISE_MODELS,
     InterferometerConfig,
@@ -60,6 +61,61 @@ def test_counts_csv_round_trip(table):
         back = read_counts_csv(path)
     assert back.dim == table.dim
     assert np.array_equal(back.cells, table.cells)
+
+
+
+# A valid d = 2 file and edits that break it, or keep it valid, at random.
+D2_LINES = ["i,j,y,outcome,count"] + [
+    f"{i},{j},{y},{b},{3 * i + j + y + b}"
+    for i in (1, 2) for j in (1, 2) for y in (1, 2) for b in (1, 2)]
+INDEX = st.sampled_from(["1", "2", "3", "0", " 2", "01", "x", str(2**64)])
+COUNT = st.sampled_from(["0", "5", "-1", "2.0", str(2**62), str(2**63 - 1), str(2**63)])
+LINE_EDIT = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 40),
+              st.tuples(st.integers(0, 3), INDEX) | st.tuples(st.just(4), COUNT)),
+    st.tuples(st.just("replace"), st.integers(0, 40),
+              st.lists(INDEX, min_size=4, max_size=6).map(",".join)),
+    st.tuples(st.just("duplicate"), st.integers(0, 40), st.none()),
+    st.tuples(st.just("delete"), st.integers(0, 40), st.none()),
+    st.tuples(st.just("insert"), st.integers(0, 40), st.sampled_from(["", " ", "\t"])),
+)
+
+
+def _read_outcome(path):
+    """The cells a counts file reads as, or the message it is refused with."""
+    try:
+        return read_counts_csv(path).cells.tolist()
+    except CountsFormatError as exc:
+        return str(exc)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(edits=st.lists(LINE_EDIT, min_size=1, max_size=3))
+@example(edits=[("field", 15, (2, "3"))])  # y = 3 in the last cell: no duplicate to show it
+@example(edits=[("field", 0, (4, str(2**63 - 1)))])  # each count fits, their sum does not
+def test_counts_reader_agrees_with_its_per_line_check(edits):
+    lines = list(D2_LINES)
+    for kind, at, text in edits:
+        if kind == "insert":
+            lines.insert(at % (len(lines) + 1), text)
+            continue
+        k = 1 + at % (len(lines) - 1)  # a data line: the header stays
+        if kind == "delete":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "replace":
+            lines[k] = text
+        else:  # one field: (position, token)
+            fields = lines[k].split(",")
+            fields[text[0] % len(fields)] = text[1]
+            lines[k] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        outcome = _read_outcome(path)
+        with mock.patch("mubcert.counts._accepted_rows", return_value=None):
+            assert _read_outcome(path) == outcome
 
 
 NUMERIC_FIELDS = ("d", "mu", "det_efficiency", "rep_rate", "integration_time",
