@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
-from .counts import read_counts_csv, write_counts_csv
+from .counts import read_counts_csv, row_layout, write_counts_csv
 from .errors import ConfigError, MubCertError
 from .mub import (
     CONSTRUCTION_FOURIER,
@@ -75,8 +75,9 @@ class UsageError(MubCertError):
 class RunManifest:
     """Provenance record accompanying every primary output file.
 
-    ``input_sha256`` maps each input path to the sha256 of its bytes, so
-    that ``replay`` can refuse inputs that changed since the run.
+    ``input_sha256`` maps each input path to the sha256 of the bytes the
+    command read and used, so that ``replay`` can refuse inputs that
+    changed since the run.
     """
 
     command: list
@@ -92,7 +93,6 @@ class RunManifest:
 
     def write(self, primary_output) -> Path:
         self.finished_utc = _utc_now()
-        self.input_sha256 = {p: _sha256(p) for p in self.inputs}
         path = Path(str(primary_output) + ".manifest.json")
         # the fields hold JSON values already, so no deep copy (asdict) is needed
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -100,10 +100,10 @@ class RunManifest:
         return path
 
 
-def _sha256(path) -> str:
+def _sha256(data: bytes) -> str:
     import hashlib  # imported here so that startup stays as fast as before
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _utc_now() -> str:
@@ -240,11 +240,15 @@ def cmd_simulate(args, command) -> None:
     started = _utc_now()
     if args.ideal and args.config is not None:
         raise UsageError("--ideal takes no --config: its table is the default device's")
+    inputs = {}
     if args.config is not None:
         try:
-            doc = json.loads(Path(args.config).read_text())
+            data = Path(args.config).read_bytes()
+            # decoded as Path.read_text decodes, so that no message changes
+            doc = json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        inputs[args.config] = _sha256(data)
         config = InterferometerConfig.from_dict(doc)
     else:
         config = InterferometerConfig()
@@ -291,7 +295,7 @@ def cmd_simulate(args, command) -> None:
     write_counts_csv(table, out)
     RunManifest(
         command=command, seed=seed, config=config.to_dict(),
-        inputs=[args.config] if args.config else [],
+        inputs=list(inputs), input_sha256=inputs,
         outputs=[str(out)], started_utc=started, extra=extra,
     ).write(out)
     print(f"wrote {out} ({table.total()} detections)")
@@ -299,12 +303,13 @@ def cmd_simulate(args, command) -> None:
 
 def cmd_certify(args, command) -> None:
     started = _utc_now()
-    inputs = []
+    inputs = {}
     if args.counts is not None:
         if args.asp is not None or args.sigma is not None:
             raise UsageError("give either --counts or --asp/--sigma, not both")
-        table = read_counts_csv(args.counts)
-        inputs.append(args.counts)
+        data = Path(args.counts).read_bytes()
+        table = read_counts_csv(data)
+        inputs[args.counts] = _sha256(data)
         est = estimate_asp(table)
         d = table.dim
         if args.d is not None and args.d != d:
@@ -329,7 +334,8 @@ def cmd_certify(args, command) -> None:
     table_text = report_table(report)
     table_out.write_text(table_text + "\n")
     RunManifest(
-        command=command, inputs=inputs, outputs=[str(out), str(table_out)],
+        command=command, inputs=list(inputs), input_sha256=inputs,
+        outputs=[str(out), str(table_out)],
         started_utc=started,
     ).write(out)
     print(table_text)
@@ -338,29 +344,28 @@ def cmd_certify(args, command) -> None:
 
 def cmd_figure_data(args, command) -> None:
     started = _utc_now()
-    table = read_counts_csv(args.counts)
+    data = Path(args.counts).read_bytes()
+    table = read_counts_csv(data)
+    inputs = {args.counts: _sha256(data)}
     est = estimate_asp(table)
     d = table.dim
 
+    # %r writes each float as its repr, which reads back as the same double
     probs = table.cells / table.setting_totals()[..., None].astype(float)
     prob_path = Path(f"{args.out_prefix}_outcome_probabilities.csv")
     outcome_cols = ",".join(f"p{b + 1}" for b in range(d))
-    lines = [f"i,j,y,{outcome_cols}"]
-    lines += [f"{i + 1},{j + 1},{y + 1}," + ",".join(map(repr, row))
-              for (i, j, y), row in zip(np.ndindex(d, d, 2), probs.reshape(-1, d).tolist())]
-    prob_path.write_text("\n".join(lines) + "\n")
+    layout = f"i,j,y,{outcome_cols}\n" + row_layout((d, d, 2), ",".join(["%r"] * d))
+    prob_path.write_text(layout % tuple(probs.ravel().tolist()))
 
     asp_path = Path(f"{args.out_prefix}_state_asp.csv")
     refs = f"{quantum_optimum(d)!r},{float(min_asp_for_nontrivial_eta(d))!r}"
-    lines = ["i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp"]
-    lines += [f"{i + 1},{j + 1},{asp1!r},{asp2!r},{refs}"
-              for (i, j), (asp1, asp2) in zip(np.ndindex(d, d),
-                                              est.per_input.reshape(-1, 2).tolist())]
-    asp_path.write_text("\n".join(lines) + "\n")
+    layout = ("i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp\n"
+              + row_layout((d, d), f"%r,%r,{refs}"))
+    asp_path.write_text(layout % tuple(est.per_input.ravel().tolist()))
 
     RunManifest(
-        command=command, inputs=[args.counts], outputs=[str(prob_path), str(asp_path)],
-        started_utc=started,
+        command=command, inputs=list(inputs), input_sha256=inputs,
+        outputs=[str(prob_path), str(asp_path)], started_utc=started,
     ).write(asp_path)
     print(f"wrote {prob_path} and {asp_path}")
 
@@ -383,7 +388,8 @@ def cmd_replay(args, command) -> None:
         digests = doc.get("input_sha256", {})
         if not isinstance(digests, dict):
             raise ValueError("its input_sha256 is not an object")
-        changed = [path for path, digest in digests.items() if _sha256(path) != digest]
+        changed = [path for path, digest in digests.items()
+                   if _sha256(Path(path).read_bytes()) != digest]
     except (OSError, ValueError) as exc:
         raise MubCertError(f"cannot replay {args.manifest}: {exc}") from exc
     if changed:

@@ -5,12 +5,16 @@ outcome, how many detections were registered.  The CSV format is
 ``i,j,y,outcome,count`` with 1-based indices, one row per cell; the
 writer puts the rows in canonical sorted order.  On read, d is the
 largest index, and the file must hold each of the 2*d^3 cells exactly
-once, in any order.  One vectorized test accepts a valid file; a
-per-line loop reads any other file and writes every message.
+once, in any order.  Text is written with one ``%`` call into a layout
+built from the array's shape (``row_layout``) and read with one
+``np.loadtxt`` call that accepts a valid file; a per-line loop reads any
+other file and writes every message.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +23,15 @@ import numpy as np
 from .errors import CountsFormatError
 
 CSV_HEADER = "i,j,y,outcome,count"
+
+# The only characters of a body that the vectorized read parses: anything
+# else (a '.', an 'e', a non-ASCII digit or space, a '_') goes to the
+# per-line loop, so the two reads cannot differ on how to parse a field.
+# So does a run of 19 digits, which numpy < 2 may parse past int64 through
+# a float, and which no valid file needs: a count of a file of 16 or more
+# rows is at most int64 max // 16, which has 18 digits.
+_PLAIN_INTEGERS = re.compile(r"[0-9+\-, \t\n]*")
+_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
 
 
 @dataclass(eq=False)
@@ -55,18 +68,36 @@ class CountsTable:
         return int(self.cells.sum())
 
 
+def row_layout(shape, tail: str) -> str:
+    """A ``%`` layout of one line per index of ``shape``, in C order.
+
+    Each line is the 1-based index, comma-separated, then ``tail``
+    (which holds the line's ``%`` fields) and a newline.  The layout is
+    built with one join of ``str.replace`` calls per axis, so its Python
+    work grows with the axis lengths and not with the number of lines.
+    """
+    layout = "\0" + tail + "\n"
+    for n in reversed(shape):
+        layout = "".join(layout.replace("\0", f"\0{k},") for k in range(1, n + 1))
+    return layout.replace("\0", "")
+
+
 def write_counts_csv(table: CountsTable, path) -> None:
-    """Write the table in canonical row order (sorted i, j, y, outcome)."""
+    """Write the table in canonical row order (sorted i, j, y, outcome).
+
+    The rows are one ``%`` call into ``row_layout`` of the cells' shape.
+    """
     cells = table.cells
-    lines = [CSV_HEADER]
-    lines += [f"{i + 1},{j + 1},{y + 1},{b + 1},{count}"
-              for (i, j, y, b), count in zip(np.ndindex(cells.shape), cells.ravel().tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    layout = CSV_HEADER + "\n" + row_layout(cells.shape, "%d")
+    Path(path).write_text(layout % tuple(cells.ravel().tolist()))
 
 
-def read_counts_csv(path) -> CountsTable:
+def read_counts_csv(source) -> CountsTable:
     """Parse a counts CSV; rejects undecodable text, bad headers, rows and incomplete grids.
 
+    ``source`` is the file's path or its bytes.  Bytes are decoded as
+    ``Path.read_text`` decodes a file, so a caller that keeps the bytes
+    it read, to hash them, gets the same table and messages.
     Blank lines are skipped; a message names the offending line by its
     number in the file, blank lines included.  A vectorized test accepts
     a well-formed file at once (``_accepted_rows``); any other file is
@@ -75,14 +106,15 @@ def read_counts_csv(path) -> CountsTable:
     a stray large index is reported instead of allocating a (d, d, 2, d)
     table for it.
     """
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        text = Path(path).read_text().splitlines()
+        text = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
     except UnicodeDecodeError as exc:
         raise CountsFormatError(f"cannot decode the file: {exc}") from exc
     lines = [ln for ln in text if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CountsFormatError(f"expected header {CSV_HEADER!r}")
-    rows = _accepted_rows(lines[1:])
+    rows = _accepted_rows("\n".join(lines[1:]))
     if rows is None:
         rows = _checked_rows(text)
     i, j, y, b, c = rows.T
@@ -91,19 +123,29 @@ def read_counts_csv(path) -> CountsTable:
     return table
 
 
-def _accepted_rows(lines: list) -> np.ndarray | None:
+def _accepted_rows(body: str) -> np.ndarray | None:
     """The data rows as an (n, 5) int64 array if they form a valid file, else None.
 
-    Accepts only rows of five int64 fields that hold each of the 2*d^3
-    cells once, d >= 2, with no negative count and counts too small for
-    their sum to pass int64.  Writes no message: ``_checked_rows`` reads
-    whatever this does not accept and finds its first offending line.
+    ``body`` is the non-blank lines after the header, joined by newlines.
+    One ``np.loadtxt`` call parses it, and only when it is non-empty
+    (numpy warns on an empty one), made of digits, signs, commas, spaces,
+    tabs and newlines alone, and holds no run of 19 digits: the text on
+    which numpy's integer parser and ``int`` agree on every numpy that
+    the package supports.  Accepts only rows of five int64 fields that
+    hold each of the 2*d^3 cells once, d >= 2, with no negative count
+    and counts too small for their sum to pass int64.
+    Writes no message: ``_checked_rows`` reads whatever this does not
+    accept and finds its first offending line.
     """
+    if (not body or not _PLAIN_INTEGERS.fullmatch(body)
+            or "0" * 19 in body.translate(_DIGITS_AS_ZERO)):
+        return None
     try:
-        rows = np.array([ln.split(",") for ln in lines], dtype=np.int64)
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                          comments=None, ndmin=2)
     except (ValueError, OverflowError):  # a ragged row, a non-integer or a value past int64
         return None
-    if rows.ndim != 2 or rows.shape[1] != 5:
+    if rows.shape[1] != 5:
         return None
     i, j, y, b, c = rows.T
     n, dim = len(rows), int(max(i.max(), j.max(), b.max()))

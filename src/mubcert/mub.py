@@ -225,21 +225,24 @@ def document_json(doc, depth: int = 0) -> str:
 
     ``doc`` is a non-empty dict with str keys, a non-empty float ndarray
     or a JSON scalar; a dict's values are the same.  An array is written
-    as its ``tolist()`` would be, level by level from the innermost axis:
-    one ``float.__repr__`` per entry, then one join per row.
+    as its ``tolist()`` would be, with one ``%`` call into a skeleton of
+    nested brackets that takes one join per axis.  ``float.__repr__`` runs
+    once per distinct value, told apart by bit pattern, so that -0.0 and
+    0.0 keep their own text.
     """
     pad = "\n" + "  " * depth
     if isinstance(doc, np.ndarray):
-        if not np.isfinite(doc).all():
+        values = np.asarray(doc, dtype=float).ravel()
+        if not np.isfinite(values).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        items = list(map(float.__repr__, doc.ravel().tolist()))
+        bits, where = np.unique(values.view(np.int64), return_inverse=True)
+        text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+        skeleton = "%s"
         for axis in reversed(range(doc.ndim)):
             inner = pad + "  " * (axis + 1)
             outer = pad + "  " * axis
-            n = doc.shape[axis]
-            items = ["[" + inner + ("," + inner).join(items[k:k + n]) + outer + "]"
-                     for k in range(0, len(items), n)]
-        return items[0]
+            skeleton = "[" + inner + ("," + inner).join([skeleton] * doc.shape[axis]) + outer + "]"
+        return skeleton % tuple(text[where].tolist())
     if isinstance(doc, dict):
         inner = pad + "  "
         return "{" + inner + ("," + inner).join(

@@ -12,10 +12,11 @@ import pytest
 
 import mubcert
 from mubcert.cli import RunManifest, build_parser, main
-from mubcert.counts import write_counts_csv
+from mubcert.counts import CountsTable, write_counts_csv
 from mubcert.linalg import operator_norm, psd_sqrt
 from mubcert.mub import fourier_mub_pair, hadamard_mub_pair_d4, overlap_entropy
-from mubcert.photonics import SAMPLER_VERSION, ideal_expected_counts
+from mubcert.photonics import SAMPLER_VERSION, ideal_expected_counts, simulate_counts
+from mubcert.qrac import estimate_asp
 
 
 def run(args, cwd):
@@ -443,6 +444,37 @@ class TestFigureDataCommand:
             assert float(parts[4]) == 0.75
             assert float(parts[5]) == red
 
+    # sha256 of (outcome probabilities, state ASP) for a seeded table at
+    # each d and for the `simulate --ideal --rounds 60000` table
+    DIGESTS = {
+        2: ("2c4e2b84f919ce2b5cfe4b20f4c4b227629ca82116261f11ca21af22b7940048",
+            "4fd754e66183fc211ee1a7c29631d8aa613504a50d60ebc0dfd1d8fce0b6d032"),
+        3: ("47fd7113e18c24773ab1db972f029c6a613cb392b6692067ca7dd205e8f93409",
+            "639b0ea1f34322140cee415aee768b648584d34a0c599f9e70c06c493717166b"),
+        4: ("696968f1fb9fdbdfc5411c6ceb5fa788639a0f09bbf481870aa339a473a71f29",
+            "dd6dc231be67f543f95c6d42a052830eefb3f3975783030de5ffd357a8cff48f"),
+        5: ("17384531cd17a02ce263cebffd57ed8a49745a1d7d08d7ea9d50a682f3e3fe80",
+            "bb8c4b148230b84cbd18ecd898e1215a3b0871f62a199563f5b7b9c5ff60c307"),
+        6: ("f95115fdcac5b7debac07912402505f8f801e04be3e240dd3af1d0dcfdc5bc8f",
+            "d3f7f69aa1be8f4a9929addfbdb961829b007ffed7a0c9c9576d4ccccf6e36f7"),
+        7: ("62cb875ee4cf0459a339b395b7286e20d1a735bdbd111ef2569fbf7986ed5905",
+            "05cb2642dba792a2680acd5559c78e1766225948bec950ce7f565ee688584665"),
+        8: ("4d976d3e48dd2052ba106245e890acca1aee167f65cdc8c40db98f7cc69fae9d",
+            "66943ed82904380e2e8f679bfd25629b9aae6ed565c43ac834157c94dc681017"),
+        "ideal": ("b63f91332c0ba509b370d0edcf85a1364f12c513f6b02031e908200724fcb834",
+                  "6aed2f6434571f30441b923e6488b508e0fb5ea4fd4419ed7a938033f2f27bb9"),
+    }
+
+    @pytest.mark.parametrize("d", list(DIGESTS))
+    def test_csv_bytes_are_pinned(self, tmp_path, d):
+        table = (ideal_expected_counts(60000) if d == "ideal" else CountsTable(
+            dim=d, cells=np.random.default_rng(d).integers(1, 10**6, (d, d, 2, d))))
+        write_counts_csv(table, tmp_path / "c.csv")
+        assert run(["figure-data", "--counts", "c.csv", "--out-prefix", "fig"], tmp_path) == 0
+        digests = tuple(hashlib.sha256((tmp_path / f"fig_{name}.csv").read_bytes()).hexdigest()
+                        for name in ("outcome_probabilities", "state_asp"))
+        assert digests == self.DIGESTS[d]
+
     def test_malformed_counts_exits_4(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
@@ -453,6 +485,58 @@ class TestFigureDataCommand:
         bad.write_bytes(b"\xff\xfe")
         assert run(["figure-data", "--counts", str(bad)], tmp_path) == 4
         assert_one_line_error(capsys.readouterr().err, "data error: cannot decode")
+
+
+@pytest.mark.parametrize("subcommand", ["certify", "figure-data"])
+def test_header_only_counts_exit_4(tmp_path, capsys, subcommand):
+    # one message, and no warning from the vectorized read of an empty body
+    path = tmp_path / "empty.csv"
+    path.write_text("i,j,y,outcome,count\n")
+    assert run([subcommand, "--counts", str(path)], tmp_path) == 4
+    assert_one_line_error(capsys.readouterr().err, "data error: no data rows")
+
+
+class TestInputDigests:
+    """A manifest pins the bytes its command read, even if the file is replaced during the run."""
+
+    @pytest.mark.parametrize("argv, manifest", [
+        (["certify", "--out", "cert.json"], "cert.json.manifest.json"),
+        (["figure-data", "--out-prefix", "fig"], "fig_state_asp.csv.manifest.json"),
+    ], ids=["certify", "figure-data"])
+    def test_counts(self, tmp_path, monkeypatch, argv, manifest):
+        counts = tmp_path / "c.csv"
+        write_counts_csv(ideal_expected_counts(60000), counts)
+        original = hashlib.sha256(counts.read_bytes()).hexdigest()
+
+        def replace_then_estimate(table):
+            write_counts_csv(ideal_expected_counts(384), counts)
+            return estimate_asp(table)
+
+        monkeypatch.setattr("mubcert.cli.estimate_asp", replace_then_estimate)
+        assert run([*argv, "--counts", "c.csv"], tmp_path) == 0
+        doc = json.loads((tmp_path / manifest).read_text())
+        assert doc["input_sha256"] == {"c.csv": original}
+        assert hashlib.sha256(counts.read_bytes()).hexdigest() != original
+
+    def test_config(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 0.5}))
+        original = hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+        def replace_then_simulate(*args, **kwargs):
+            cfg.write_text(json.dumps({"mu": 0.4}))
+            return simulate_counts(*args, **kwargs)
+
+        monkeypatch.setattr("mubcert.cli.simulate_counts", replace_then_simulate)
+        assert run(["simulate", "--config", "cfg.json", "--seed", "3", "--rounds", "5000",
+                    "--out", "c.csv"], tmp_path) == 0
+        doc = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert doc["input_sha256"] == {"cfg.json": original}
+        assert doc["config"]["mu"] == 0.5
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run(["replay", "c.csv.manifest.json"], tmp_path) == 4
+        assert_one_line_error(capsys.readouterr().err, "data error: cannot replay")
 
 
 class TestReplay:
@@ -559,7 +643,7 @@ class TestEntryPoint:
             p for p in (pkg_root, env.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "mubcert.cli", "certify", "--asp", "0.75",
-             "--sigma", "0", "--d", "4", "--out", str(tmp_path / "c.json")],
+            "--sigma", "0", "--d", "4", "--out", str(tmp_path / "c.json")],
             capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert result.returncode == 0, result.stderr

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mubcert import counts
-from mubcert.counts import CountsTable, read_counts_csv, write_counts_csv
+from mubcert.counts import CountsTable, read_counts_csv, row_layout, write_counts_csv
 from mubcert.errors import CountsFormatError
 from mubcert.photonics import ideal_expected_counts
 
@@ -26,6 +28,49 @@ def test_write_is_canonical(tmp_path, table):
     write_counts_csv(table, p1)
     write_counts_csv(read_counts_csv(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_row_layout_is_one_line_per_index():
+    assert row_layout((2, 3), "%d") == "1,1,%d\n1,2,%d\n1,3,%d\n2,1,%d\n2,2,%d\n2,3,%d\n"
+    assert row_layout((1,), "x,%r") % (0.5,) == "1,x,0.5\n"
+
+
+# sha256 of write_counts_csv of a seeded table; d = 4 is pinned by the
+# `simulate --ideal` and sampler digests of test_photonics
+@pytest.mark.parametrize("d, digest", [
+    (2, "6dd7c7c069b341920d679c8d2d1867cb927ca13f592560b761df4c346b94d967"),
+    (3, "32723b3eda05a54b17fa2c4ed151c60c6a323b8acf4193b9302c782d65972b15"),
+    (5, "d932a87cc274fe7295137d76a84e29d8e6ef04e32f37154ed6b2811dd0ac1c69"),
+    (8, "32ff1d9ecdc312495455016d7e86d428588e1496d9686cb81ef3d138d4cd7e7e"),
+], ids=["d2", "d3", "d5", "d8"])
+def test_csv_bytes_are_pinned(tmp_path, d, digest):
+    cells = np.random.default_rng(d).integers(0, 10**12, (d, d, 2, d))
+    path = tmp_path / "counts.csv"
+    write_counts_csv(CountsTable(dim=d, cells=cells), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_reads_bytes_as_a_path_reads_its_file(tmp_path, table):
+    path = tmp_path / "counts.csv"
+    write_counts_csv(table, path)
+    assert np.array_equal(read_counts_csv(path.read_bytes()).cells, table.cells)
+    with pytest.raises(CountsFormatError, match="^cannot decode the file: "):
+        read_counts_csv(b"i,j,y,outcome,count\n\xff\n")
+
+
+@pytest.mark.parametrize("body", [
+    "", "1,1,1,1,2.0", "1,1,1,1,1e0", "1,1,1,1,1_0", "1,1,1,1,\u0663", "1,1,1,1,\xa03",
+    "1,1,1,1,0000000000000000005", f"1,1,1,1,{2**63}",
+], ids=["empty", "float", "exponent", "separator", "arabic-indic", "nbsp",
+        "nineteen-digits", "past-int64"])
+def test_bodies_numpy_may_misread_never_reach_it(monkeypatch, body):
+    # numpy warns on an empty body, and numpy < 2 parses an integer field
+    # that fails as an int through a float: these go to the per-line loop
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt ran")
+
+    monkeypatch.setattr(counts.np, "loadtxt", refuse)
+    assert counts._accepted_rows(body) is None
 
 
 def test_rejects_duplicate_cells(tmp_path):

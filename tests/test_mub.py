@@ -236,6 +236,24 @@ class TestSerialization:
                   for key, value in doc.items()}
         assert to_json(pair) == json.dumps(listed, indent=2, allow_nan=False)
 
+    # arrays on which a writer that formats each distinct value once could
+    # go wrong: zeros of both signs (equal as floats, not as text),
+    # subnormals, and values that are all distinct
+    ARRAYS = {
+        "signed-zeros": np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 1.0]]),
+        "subnormals": np.array([5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+                                2.2250738585072014e-308, 0.0, 5e-324]),
+        "all-distinct": np.random.default_rng(7).standard_normal((3, 4, 2, 5)),
+    }
+
+    @pytest.mark.parametrize("name", list(ARRAYS))
+    def test_writer_matches_stdlib_json_on_arrays(self, name):
+        array = self.ARRAYS[name]
+        doc = {"construction": name, "first": {"dim": 1, "effects": array}}
+        listed = {**doc, "first": {"dim": 1, "effects": array.tolist()}}
+        assert document_json(doc) == json.dumps(listed, indent=2, allow_nan=False)
+        assert document_json(array[..., :1]) == json.dumps(array[..., :1].tolist(), indent=2)
+
     def test_writer_rejects_non_finite(self):
         with pytest.raises(ValueError):
             document_json({"effects": np.array([[0.5, np.inf]])})

@@ -68,8 +68,13 @@ def test_counts_csv_round_trip(table):
 D2_LINES = ["i,j,y,outcome,count"] + [
     f"{i},{j},{y},{b},{3 * i + j + y + b}"
     for i in (1, 2) for j in (1, 2) for y in (1, 2) for b in (1, 2)]
-INDEX = st.sampled_from(["1", "2", "3", "0", " 2", "01", "x", str(2**64)])
-COUNT = st.sampled_from(["0", "5", "-1", "2.0", str(2**62), str(2**63 - 1), str(2**63)])
+# Tokens that int() reads and numpy's integer parser may not, or the reverse
+# (digit separators, non-ASCII digits and spaces, exponents, hex, quotes,
+# comment marks, doubled signs).
+PARSER_EDGES = ["1_0", "+3", "\u0663", "\xa03", "\t3", "1e0", "0x1", "3#c", '"3"', "+-1", "-0"]
+INDEX = st.sampled_from(["1", "2", "3", "0", " 2", "01", "x", str(2**64), *PARSER_EDGES])
+COUNT = st.sampled_from(["0", "5", "-1", "2.0", str(2**62), str(2**63 - 1), str(2**63),
+                         *PARSER_EDGES])
 LINE_EDIT = st.one_of(
     st.tuples(st.just("field"), st.integers(0, 40),
               st.tuples(st.integers(0, 3), INDEX) | st.tuples(st.just(4), COUNT)),
@@ -93,6 +98,7 @@ def _read_outcome(path):
 @given(edits=st.lists(LINE_EDIT, min_size=1, max_size=3))
 @example(edits=[("field", 15, (2, "3"))])  # y = 3 in the last cell: no duplicate to show it
 @example(edits=[("field", 0, (4, str(2**63 - 1)))])  # each count fits, their sum does not
+@example(edits=[("delete", 0, None)] * (len(D2_LINES) - 1))  # the header alone
 def test_counts_reader_agrees_with_its_per_line_check(edits):
     lines = list(D2_LINES)
     for kind, at, text in edits:
@@ -112,7 +118,7 @@ def test_counts_reader_agrees_with_its_per_line_check(edits):
             lines[k] = ",".join(fields)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")  # tokens may be non-ASCII
         outcome = _read_outcome(path)
         with mock.patch("mubcert.counts._accepted_rows", return_value=None):
             assert _read_outcome(path) == outcome
