@@ -643,7 +643,7 @@ class TestEntryPoint:
             p for p in (pkg_root, env.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "mubcert.cli", "certify", "--asp", "0.75",
-            "--sigma", "0", "--d", "4", "--out", str(tmp_path / "c.json")],
+             "--sigma", "0", "--d", "4", "--out", str(tmp_path / "c.json")],
             capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert result.returncode == 0, result.stderr
