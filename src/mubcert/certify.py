@@ -23,6 +23,7 @@ method), using each bound's closed-form slope in p.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import namedtuple
@@ -374,10 +375,14 @@ def min_asp_for_nontrivial_eta(d: int) -> float:
     Found by bisection to 1e-10 between the norm-sum threshold and the
     quantum optimum; at the returned point the bound chain is applicable
     and strictly below the trivial cap, while just below it it is either
-    inapplicable or trivial.
+    inapplicable or trivial.  Each d is bisected once per process.
     """
     _check_dim(d)
+    return _min_asp_for_nontrivial_eta(d)
 
+
+@functools.cache  # on a private helper: the public name stays a plain function
+def _min_asp_for_nontrivial_eta(d: int) -> float:
     def nontrivial(p: float) -> bool:
         try:
             eta = bound_incompatibility(

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
-from .counts import read_counts_csv, row_layout, write_counts_csv
+from .counts import read_counts_csv, row_layout, write_counts_csv, write_output
 from .errors import ConfigError, MubCertError
 from .mub import (
     CONSTRUCTION_FOURIER,
@@ -96,7 +96,7 @@ class RunManifest:
         path = Path(str(primary_output) + ".manifest.json")
         # the fields hold JSON values already, so no deep copy (asdict) is needed
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        write_output(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
         return path
 
 
@@ -219,7 +219,7 @@ def cmd_mub(args, command) -> None:
     doc = mub_pair_to_dict(pair)
     doc["metrics"] = _pair_metrics(pair)
     out = Path(args.out)
-    out.write_text(document_json(doc) + "\n")
+    write_output(out, document_json(doc) + "\n")
     RunManifest(command=command, outputs=[str(out)], started_utc=started).write(out)
     print(f"wrote {out}")
     for key, value in doc["metrics"].items():
@@ -303,6 +303,11 @@ def cmd_simulate(args, command) -> None:
 
 def cmd_certify(args, command) -> None:
     started = _utc_now()
+    out = Path(args.out)
+    table_out = out.with_suffix(".txt")
+    if table_out == out:
+        raise UsageError(f"--out {out} is also the path of its text table: "
+                         "give it a suffix other than .txt")
     inputs = {}
     if args.counts is not None:
         if args.asp is not None or args.sigma is not None:
@@ -328,11 +333,9 @@ def cmd_certify(args, command) -> None:
     report = full_certificate(est, d)
     if not all(math.isfinite(b.sigma) for b in report.bounds() if b.applicable):
         raise MubCertError(f"sigma {est.sigma} propagates to a non-finite bound sigma")
-    out = Path(args.out)
-    out.write_text(report.to_json() + "\n")
-    table_out = out.with_suffix(".txt")
+    write_output(out, report.to_json() + "\n")
     table_text = report_table(report)
-    table_out.write_text(table_text + "\n")
+    write_output(table_out, table_text + "\n")
     RunManifest(
         command=command, inputs=list(inputs), input_sha256=inputs,
         outputs=[str(out), str(table_out)],
@@ -355,13 +358,13 @@ def cmd_figure_data(args, command) -> None:
     prob_path = Path(f"{args.out_prefix}_outcome_probabilities.csv")
     outcome_cols = ",".join(f"p{b + 1}" for b in range(d))
     layout = f"i,j,y,{outcome_cols}\n" + row_layout((d, d, 2), ",".join(["%r"] * d))
-    prob_path.write_text(layout % tuple(probs.ravel().tolist()))
+    write_output(prob_path, layout % tuple(probs.ravel().tolist()))
 
     asp_path = Path(f"{args.out_prefix}_state_asp.csv")
     refs = f"{quantum_optimum(d)!r},{float(min_asp_for_nontrivial_eta(d))!r}"
     layout = ("i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp\n"
               + row_layout((d, d), f"%r,%r,{refs}"))
-    asp_path.write_text(layout % tuple(est.per_input.ravel().tolist()))
+    write_output(asp_path, layout % tuple(est.per_input.ravel().tolist()))
 
     RunManifest(
         command=command, inputs=list(inputs), input_sha256=inputs,

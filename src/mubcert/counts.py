@@ -9,12 +9,18 @@ once, in any order.  Text is written with one ``%`` call into a layout
 built from the array's shape (``row_layout``) and read with one
 ``np.loadtxt`` call that accepts a valid file; a per-line loop reads any
 other file and writes every message.
+
+``write_output`` writes every file the package writes, this module's CSV
+and each output of the CLI, in place: it never truncates a file to zero
+first, so no close has to wait for the file system to flush it.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,14 +88,32 @@ def row_layout(shape, tail: str) -> str:
     return layout.replace("\0", "")
 
 
+def write_output(path, text: str) -> None:
+    """Write ``text`` over the file at ``path`` in place, encoded as ``Path.write_text`` encodes it.
+
+    The file is opened without truncation, written from its start, and
+    then, if it is a regular file, cut to the bytes written; a device
+    such as ``/dev/stdout`` cannot be cut and is only written.  On ext4 a
+    file truncated to zero and rewritten starts writeback when it is
+    closed, so a truncating write waits for the disk inside the command.
+    Nothing is synced: a write cut short can leave the new bytes followed
+    by the old file's tail.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as file:
+        file.write(text)
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            file.truncate()  # at the end of the text: the old file may be longer
+
+
 def write_counts_csv(table: CountsTable, path) -> None:
     """Write the table in canonical row order (sorted i, j, y, outcome).
 
-    The rows are one ``%`` call into ``row_layout`` of the cells' shape.
+    The rows are one ``%`` call into ``row_layout`` of the cells' shape,
+    written in place by ``write_output``.
     """
     cells = table.cells
     layout = CSV_HEADER + "\n" + row_layout(cells.shape, "%d")
-    Path(path).write_text(layout % tuple(cells.ravel().tolist()))
+    write_output(path, layout % tuple(cells.ravel().tolist()))
 
 
 def read_counts_csv(source) -> CountsTable:
@@ -108,15 +132,16 @@ def read_counts_csv(source) -> CountsTable:
     """
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        text = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
     except UnicodeDecodeError as exc:
         raise CountsFormatError(f"cannot decode the file: {exc}") from exc
-    lines = [ln for ln in text if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise CountsFormatError(f"expected header {CSV_HEADER!r}")
-    rows = _accepted_rows("\n".join(lines[1:]))
+    # Every line boundary of str.splitlines is whitespace, so lstrip drops
+    # the blank lines before the header; a header line that ends in another
+    # boundary than "\n" fails the test or leaves a body the accept test refuses.
+    header, _, body = text.lstrip().partition("\n")
+    rows = _accepted_rows(body) if header.rstrip() == CSV_HEADER else None
     if rows is None:
-        rows = _checked_rows(text)
+        rows = _checked_rows(text.splitlines())
     i, j, y, b, c = rows.T
     table = CountsTable.zeros(int(max(i.max(), j.max(), b.max())))
     table.cells[i - 1, j - 1, y - 1, b - 1] = c
@@ -126,8 +151,8 @@ def read_counts_csv(source) -> CountsTable:
 def _accepted_rows(body: str) -> np.ndarray | None:
     """The data rows as an (n, 5) int64 array if they form a valid file, else None.
 
-    ``body`` is the non-blank lines after the header, joined by newlines.
-    One ``np.loadtxt`` call parses it, and only when it is non-empty
+    ``body`` is the file's text after its header line, as it stands.
+    One ``np.loadtxt`` call parses it, and only when it is not blank
     (numpy warns on an empty one), made of digits, signs, commas, spaces,
     tabs and newlines alone, and holds no run of 19 digits: the text on
     which numpy's integer parser and ``int`` agree on every numpy that
@@ -137,9 +162,12 @@ def _accepted_rows(body: str) -> np.ndarray | None:
     Writes no message: ``_checked_rows`` reads whatever this does not
     accept and finds its first offending line.
     """
-    if (not body or not _PLAIN_INTEGERS.fullmatch(body)
+    if (not body or body.isspace() or not _PLAIN_INTEGERS.fullmatch(body)
             or "0" * 19 in body.translate(_DIGITS_AS_ZERO)):
         return None
+    if " " in body or "\t" in body:  # never in a written file
+        # np.loadtxt skips an empty line but refuses a line of spaces or tabs
+        body = "\n".join(ln for ln in body.split("\n") if not ln.isspace())
     try:
         rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
                           comments=None, ndmin=2)
@@ -160,14 +188,17 @@ def _accepted_rows(body: str) -> np.ndarray | None:
 def _checked_rows(text: list) -> np.ndarray:
     """The data rows of the file's lines as an (n, 5) int64 array, checked one line at a time.
 
-    Each row is checked for 5 fields, integer fields, indices in range,
-    a nonnegative count and a new cell, in that order, and the first
+    The first non-blank line must be the header.  Each row after it is
+    checked for 5 fields, integer fields, indices in range, a
+    nonnegative count and a new cell, in that order, and the first
     offending line is reported; then the file is checked for data rows,
     an int64 sum of counts, d >= 2 and 2*d^3 rows.
     """
-    numbered = [(n, ln) for n, ln in enumerate(text, 1) if ln.strip()][1:]  # after the header
+    numbered = [(n, ln) for n, ln in enumerate(text, 1) if ln.strip()]
+    if not numbered or numbered[0][1].strip() != CSV_HEADER:
+        raise CountsFormatError(f"expected header {CSV_HEADER!r}")
     rows, seen = [], set()
-    for n, ln in numbered:
+    for n, ln in numbered[1:]:
         fields = ln.split(",")
         if len(fields) != 5:
             raise CountsFormatError(f"line {n}: expected 5 fields")

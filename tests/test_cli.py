@@ -392,6 +392,14 @@ class TestCertifyCommand:
         write_counts_csv(ideal_expected_counts(60000), counts)
         assert run(["certify", "--counts", str(counts), "--d", "5"], tmp_path) == 2
 
+    def test_out_that_is_its_own_table_exits_2(self, tmp_path, capsys):
+        # the table goes to --out with the suffix .txt, which would write over
+        # the certificate and list one file twice as the manifest's outputs
+        assert run(["certify", "--asp", "0.74", "--sigma", "0.001", "--d", "4",
+                    "--out", "cert.txt"], tmp_path) == 2
+        assert_one_line_error(capsys.readouterr().err, "error: --out cert.txt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_human_readable_table(self, tmp_path):
         cert = tmp_path / "cert.json"
         assert run(["certify", "--asp", "0.74924", "--sigma", "0.00011",
@@ -537,6 +545,77 @@ class TestInputDigests:
         capsys.readouterr()
         assert run(["replay", "c.csv.manifest.json"], tmp_path) == 4
         assert_one_line_error(capsys.readouterr().err, "data error: cannot replay")
+
+
+class TestOutputsInPlace:
+    """Every output goes through ``counts.write_output``, which writes over a file in place."""
+
+    # every command, each with a seed so that its outputs repeat; replay
+    # re-runs the first simulate
+    COMMANDS = [
+        ["mub", "--construction", "fourier", "--d", "3", "--out", "m.json"],
+        ["simulate", "--seed", "5", "--rounds", "20000", "--out", "sim.csv"],
+        ["simulate", "--ideal", "--seed", "1", "--out", "ideal.csv"],
+        ["certify", "--counts", "ideal.csv", "--out", "cc.json"],
+        ["certify", "--asp", "0.74", "--sigma", "0.001", "--d", "4", "--out", "ca.json"],
+        ["figure-data", "--counts", "ideal.csv", "--out-prefix", "fig"],
+        ["replay", "sim.csv.manifest.json"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def fixed_clock(self, monkeypatch):
+        monkeypatch.setattr("mubcert.cli._utc_now", lambda: "2020-01-01T00:00:00+00:00")
+
+    def outputs_of_a_fresh_run(self, directory):
+        directory.mkdir()
+        for argv in self.COMMANDS:
+            assert run(argv, directory) == 0
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def test_longer_stale_files_are_overwritten_exactly(self, tmp_path):
+        expected = self.outputs_of_a_fresh_run(tmp_path / "fresh")
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        garbage = {name: b"\xff" * (2 * len(data) + 4096) for name, data in expected.items()}
+        for name, data in garbage.items():
+            (stale / name).write_bytes(data)
+        for argv in self.COMMANDS:
+            if argv[0] == "replay":
+                (stale / "sim.csv").write_bytes(garbage["sim.csv"])
+            assert run(argv, stale) == 0
+        assert {path.name: path.read_bytes() for path in stale.iterdir()} == expected
+
+    def test_no_write_bypasses_the_writer(self, tmp_path, monkeypatch):
+        def refuse(self, data, *args, **kwargs):
+            raise AssertionError(f"{self} was written without counts.write_output")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        assert sorted(self.outputs_of_a_fresh_run(tmp_path / "run")) == sorted([
+            "m.json", "sim.csv", "ideal.csv", "cc.json", "cc.txt", "ca.json", "ca.txt",
+            "fig_outcome_probabilities.csv", "fig_state_asp.csv",
+            *(f"{name}.manifest.json" for name in (
+                "m.json", "sim.csv", "ideal.csv", "cc.json", "ca.json", "fig_state_asp.csv")),
+        ])
+
+    def test_read_only_output_exits_4(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "c.csv"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):  # a privileged user writes any file: refuse as the kernel would
+            real_open = os.open
+
+            def read_only(path, flags, *args):
+                if Path(path).resolve() == out.resolve() and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return real_open(path, flags, *args)
+
+            monkeypatch.setattr(os, "open", read_only)
+        assert run(["simulate", "--ideal", "--seed", "1", "--out", "c.csv"], tmp_path) == 4
+        assert_one_line_error(capsys.readouterr().err, "data error: [Errno 13] Permission denied")
+        monkeypatch.undo()
+        assert out.read_text() == "old\n"
+        assert not (tmp_path / "c.csv.manifest.json").exists()
 
 
 class TestReplay:

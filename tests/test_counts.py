@@ -1,10 +1,13 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from mubcert import counts
-from mubcert.counts import CountsTable, read_counts_csv, row_layout, write_counts_csv
+from mubcert.counts import (
+    CountsTable, read_counts_csv, row_layout, write_counts_csv, write_output,
+)
 from mubcert.errors import CountsFormatError
 from mubcert.photonics import ideal_expected_counts
 
@@ -21,6 +24,20 @@ def test_round_trip(tmp_path, table):
     back = read_counts_csv(path)
     assert back.dim == 4
     assert np.array_equal(back.cells, table.cells)
+
+
+def test_write_output_writes_to_a_device(tmp_path):
+    # a character device cannot be truncated, so it is only written
+    write_output(os.devnull, "i,j,y,outcome,count\n")
+
+
+def test_write_output_keeps_a_file_and_cuts_its_tail(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("a longer old text\n")
+    inode = path.stat().st_ino
+    write_output(path, "new\n")
+    assert path.read_bytes() == b"new\n"
+    assert path.stat().st_ino == inode
 
 
 def test_write_is_canonical(tmp_path, table):
