@@ -381,7 +381,9 @@ def min_asp_for_nontrivial_eta(d: int) -> float:
     return _min_asp_for_nontrivial_eta(d)
 
 
-@functools.cache  # on a private helper: the public name stays a plain function
+# Cached here, not on the public name, which stays a plain function that
+# perfbench/spans.py can time.
+@functools.cache
 def _min_asp_for_nontrivial_eta(d: int) -> float:
     def nontrivial(p: float) -> bool:
         try:

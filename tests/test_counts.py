@@ -26,7 +26,7 @@ def test_round_trip(tmp_path, table):
     assert np.array_equal(back.cells, table.cells)
 
 
-def test_write_output_writes_to_a_device(tmp_path):
+def test_write_output_writes_to_a_device():
     # a character device cannot be truncated, so it is only written
     write_output(os.devnull, "i,j,y,outcome,count\n")
 
