@@ -24,11 +24,11 @@ method), using each bound's closed-form slope in p.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+from .counts import document_json
 from .errors import (
     BelowThreshold,
     BoundInapplicableInWindow,
@@ -293,7 +293,7 @@ class CertificateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, allow_nan=False)
+        return document_json(self.as_dict())
 
 
 def _inapplicable(reason: str) -> BoundResult:

@@ -30,13 +30,19 @@ import numpy as np
 
 from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
-from .counts import read_counts_csv, row_layout, write_counts_csv, write_output
+from .counts import (
+    document_json,
+    float_texts,
+    read_counts_csv,
+    row_layout,
+    write_counts_csv,
+    write_output,
+)
 from .errors import ConfigError, MubCertError
 from .mub import (
     CONSTRUCTION_FOURIER,
     CONSTRUCTION_HADAMARD_D4,
     MubPair,
-    document_json,
     fourier_mub_pair,
     hadamard_mub_pair_d4,
     is_mutually_unbiased,
@@ -93,11 +99,31 @@ class RunManifest:
 
     def write(self, primary_output) -> Path:
         self.finished_utc = _utc_now()
-        path = Path(str(primary_output) + ".manifest.json")
+        path = _manifest_path(primary_output)
         # the fields hold JSON values already, so no deep copy (asdict) is needed
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        write_output(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        write_output(path, document_json(doc) + "\n")
         return path
+
+
+def _manifest_path(primary_output) -> Path:
+    return Path(str(primary_output) + ".manifest.json")
+
+
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Raise UsageError if any output path names the same file as an input.
+
+    An output that exists is compared with ``os.path.samefile``, so a
+    link or another spelling of the input's path counts; one that does
+    not is compared by resolved path.
+    """
+    for out in outputs:
+        exists = os.path.exists(out)
+        for path in inputs:
+            if (os.path.samefile(path, out) if exists
+                    else Path(path).resolve() == Path(out).resolve()):
+                raise UsageError(f"output {out} is the input {path}: "
+                                 "give an output path that no input has")
 
 
 def _sha256(data: bytes) -> str:
@@ -250,6 +276,7 @@ def cmd_simulate(args, command) -> None:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         inputs[args.config] = _sha256(data)
         config = InterferometerConfig.from_dict(doc)
+        _refuse_overwrite(inputs, [args.out, _manifest_path(args.out)])
     else:
         config = InterferometerConfig()
 
@@ -313,6 +340,7 @@ def cmd_certify(args, command) -> None:
         if args.asp is not None or args.sigma is not None:
             raise UsageError("give either --counts or --asp/--sigma, not both")
         data = Path(args.counts).read_bytes()
+        _refuse_overwrite([args.counts], [out, table_out, _manifest_path(out)])
         table = read_counts_csv(data)
         inputs[args.counts] = _sha256(data)
         est = estimate_asp(table)
@@ -348,23 +376,24 @@ def cmd_certify(args, command) -> None:
 def cmd_figure_data(args, command) -> None:
     started = _utc_now()
     data = Path(args.counts).read_bytes()
+    prob_path = Path(f"{args.out_prefix}_outcome_probabilities.csv")
+    asp_path = Path(f"{args.out_prefix}_state_asp.csv")
+    _refuse_overwrite([args.counts], [prob_path, asp_path, _manifest_path(asp_path)])
     table = read_counts_csv(data)
     inputs = {args.counts: _sha256(data)}
     est = estimate_asp(table)
     d = table.dim
 
-    # %r writes each float as its repr, which reads back as the same double
+    # each float is written as its repr, which reads back as the same double
     probs = table.cells / table.setting_totals()[..., None].astype(float)
-    prob_path = Path(f"{args.out_prefix}_outcome_probabilities.csv")
     outcome_cols = ",".join(f"p{b + 1}" for b in range(d))
-    layout = f"i,j,y,{outcome_cols}\n" + row_layout((d, d, 2), ",".join(["%r"] * d))
-    write_output(prob_path, layout % tuple(probs.ravel().tolist()))
+    layout = f"i,j,y,{outcome_cols}\n" + row_layout((d, d, 2), ",".join(["%s"] * d))
+    write_output(prob_path, layout % tuple(float_texts(probs)))
 
-    asp_path = Path(f"{args.out_prefix}_state_asp.csv")
     refs = f"{quantum_optimum(d)!r},{float(min_asp_for_nontrivial_eta(d))!r}"
     layout = ("i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp\n"
-              + row_layout((d, d), f"%r,%r,{refs}"))
-    write_output(asp_path, layout % tuple(est.per_input.ravel().tolist()))
+              + row_layout((d, d), f"%s,%s,{refs}"))
+    write_output(asp_path, layout % tuple(float_texts(est.per_input)))
 
     RunManifest(
         command=command, inputs=list(inputs), input_sha256=inputs,

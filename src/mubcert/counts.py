@@ -1,4 +1,4 @@
-"""Detection-count tables and their CSV representation.
+"""Detection-count tables, and the text of every file the package writes.
 
 A counts table records, for each input setting ``(i, j, y)`` and detector
 outcome, how many detections were registered.  The CSV format is
@@ -7,21 +7,28 @@ writer puts the rows in canonical sorted order.  On read, d is the
 largest index, and the file must hold each of the 2*d^3 cells exactly
 once, in any order.  Text is written with one ``%`` call into a layout
 built from the array's shape (``row_layout``) and read with one
-``np.loadtxt`` call that accepts a valid file; a per-line loop reads any
+``np.fromstring`` call, which a byte-level structure test lets through
+only for rows of five ASCII fields of 1 to 18 digits each (spaces or
+tabs around a field and blank lines allowed); a per-line loop reads any
 other file and writes every message.
 
-``write_output`` writes every file the package writes, this module's CSV
-and each output of the CLI, in place: it never truncates a file to zero
-first, so no close has to wait for the file system to flush it.
+``float_texts`` prints each distinct float once, for the figure CSVs and
+``document_json``, which writes every JSON document: the basis-pair
+document, the certificate and each run manifest.  ``write_output``
+writes every file the package writes, this module's CSV and each output
+of the CLI, in place: it never truncates a file to zero first, so no
+close has to wait for the file system to flush it.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 import stat
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +37,12 @@ from .errors import CountsFormatError
 
 CSV_HEADER = "i,j,y,outcome,count"
 
-# The only characters of a body that the vectorized read parses: anything
-# else (a '.', an 'e', a non-ASCII digit or space, a '_') goes to the
-# per-line loop, so the two reads cannot differ on how to parse a field.
-# So does a run of 19 digits, which numpy < 2 may parse past int64 through
-# a float, and which no valid file needs: a count of a file of 16 or more
-# rows is at most int64 max // 16, which has 18 digits.
-_PLAIN_INTEGERS = re.compile(r"[0-9+\-, \t\n]*")
-_DIGITS_AS_ZERO = str.maketrans("123456789", "000000000")
+# The encoding of Path.write_text and Path.read_text, fixed at import.
+_ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# A space or tab between two digits, which np.fromstring would read as a
+# field boundary and int() refuses.
+_SPLIT_DIGITS = re.compile(rb"[0-9][ \t]+[0-9]")
 
 
 @dataclass(eq=False)
@@ -88,10 +93,67 @@ def row_layout(shape, tail: str) -> str:
     return layout.replace("\0", "")
 
 
+def float_texts(values) -> list:
+    """The shortest-repr text of each float of ``values``, in C order.
+
+    ``float.__repr__`` runs once per distinct value, told apart by bit
+    pattern, so that -0.0 and 0.0 keep their own text; each text reads
+    back as the same double.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    return texts[where].tolist()
+
+
+def document_json(doc, depth: int = 0) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False)`` of a document that may hold float ndarrays.
+
+    ``doc`` is a dict with str keys, a list or tuple, a float ndarray or a
+    JSON scalar (str, int, float, bool or None); the values and items of a
+    container are the same.  An array is written as its ``tolist()``
+    would be, with one ``%`` call into a skeleton of nested brackets that
+    takes one join per axis and the texts of ``float_texts``.
+    """
+    if isinstance(doc, str):
+        return _json_string(doc)
+    if isinstance(doc, float):
+        if not math.isfinite(doc):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(doc)
+    if doc is None or doc is True or doc is False:
+        return _JSON_CONSTANTS[doc]
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        return "{" + inner + ("," + inner).join(
+            f"{_json_string(key)}: {document_json(value, depth + 1)}"
+            for key, value in doc.items()) + pad + "}" if doc else "{}"
+    if isinstance(doc, (list, tuple)):
+        return "[" + inner + ("," + inner).join(
+            document_json(item, depth + 1) for item in doc) + pad + "]" if doc else "[]"
+    if isinstance(doc, np.ndarray):
+        if not doc.size:
+            return document_json(doc.tolist(), depth)
+        if not np.isfinite(doc).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        skeleton = "%s"
+        for axis in reversed(range(doc.ndim)):
+            inner = pad + "  " * (axis + 1)
+            outer = pad + "  " * axis
+            skeleton = "[" + inner + ("," + inner).join([skeleton] * doc.shape[axis]) + outer + "]"
+        return skeleton % tuple(float_texts(doc))
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def write_output(path, text: str) -> None:
     """Write ``text`` over the file at ``path`` in place, encoded as ``Path.write_text`` encodes it.
 
-    The file is opened without truncation, written from its start, and
+    The text is encoded once, in the locale encoding that
+    ``Path.write_text`` uses, with each newline written as ``\\n``.  The
+    file is opened without truncation, written from its start, and
     then, if it is a regular file, cut to the bytes written; a device
     such as ``/dev/stdout`` cannot be cut and is only written.  On ext4 a
     file truncated to zero and rewritten starts writeback when it is
@@ -99,10 +161,16 @@ def write_output(path, text: str) -> None:
     Nothing is synced: a write cut short can leave the new bytes followed
     by the old file's tail.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as file:
-        file.write(text)
-        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-            file.truncate()  # at the end of the text: the old file may be longer
+    data = text.encode(_ENCODING)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        left = memoryview(data)
+        while left:
+            left = left[os.write(fd, left):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))  # the old file may be longer
+    finally:
+        os.close(fd)
 
 
 def write_counts_csv(table: CountsTable, path) -> None:
@@ -152,37 +220,52 @@ def _accepted_rows(body: str) -> np.ndarray | None:
     """The data rows as an (n, 5) int64 array if they form a valid file, else None.
 
     ``body`` is the file's text after its header line, as it stands.
-    One ``np.loadtxt`` call parses it, and only when it is not blank
-    (numpy warns on an empty one), made of digits, signs, commas, spaces,
-    tabs and newlines alone, and holds no run of 19 digits: the text on
-    which numpy's integer parser and ``int`` agree on every numpy that
-    the package supports.  Accepts only rows of five int64 fields that
-    hold each of the 2*d^3 cells once, d >= 2, with no negative count
-    and counts too small for their sum to pass int64.
+    The structure test, on its bytes, lets through only ASCII lines of
+    five comma-separated fields of 1 to 18 digits each, with spaces or
+    tabs around a field and blank lines allowed: the text on which
+    ``np.fromstring`` and ``int`` read every field alike.  (``fromstring``
+    reads a lone ``-`` as 0 and clamps a value past int64 without a word,
+    so neither a sign nor a 19th digit may reach it.)  One
+    ``np.fromstring`` call then parses the fields.  Accepts only rows
+    that hold each of the 2*d^3 cells once, d >= 2, with counts too small
+    for their sum to pass int64.
     Writes no message: ``_checked_rows`` reads whatever this does not
     accept and finds its first offending line.
     """
-    if (not body or body.isspace() or not _PLAIN_INTEGERS.fullmatch(body)
-            or "0" * 19 in body.translate(_DIGITS_AS_ZERO)):
+    if not body.isascii():
         return None
-    if " " in body or "\t" in body:  # never in a written file
-        # np.loadtxt skips an empty line but refuses a line of spaces or tabs
-        body = "\n".join(ln for ln in body.split("\n") if not ln.isspace())
-    try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                          comments=None, ndmin=2)
-    except (ValueError, OverflowError):  # a ragged row, a non-integer or a value past int64
+    raw = body.encode()
+    if not _plain_rows(raw):  # spaces, tabs or blank lines: never in a written file
+        if _SPLIT_DIGITS.search(raw):
+            return None
+        raw = b"\n".join(filter(None, raw.translate(None, b" \t").split(b"\n"))) + b"\n"
+        if not _plain_rows(raw):
+            return None
+    # the offset of every separator, the newline before the first row included:
+    # a field's width is the distance to the next one
+    ends = np.flatnonzero(np.frombuffer(b"\n" + raw, np.uint8) < ord("0"))
+    widths = ends[1:] - ends[:-1]
+    if widths.min() < 2 or widths.max() > 19:  # an empty field, or one of 19 digits or more
         return None
-    if rows.shape[1] != 5:
-        return None
+    n = len(widths) // 5
+    rows = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",").reshape(n, 5)
     i, j, y, b, c = rows.T
-    n, dim = len(rows), int(max(i.max(), j.max(), b.max()))
+    dim = int(max(i.max(), j.max(), b.max()))
     if (dim < 2 or n != 2 * dim**3 or min(i.min(), j.min(), b.min()) < 1
-            or not ((y == 1) | (y == 2)).all() or c.min() < 0
+            or not ((y == 1) | (y == 2)).all()
             or c.max() > np.iinfo(np.int64).max // n):  # the loop checks the sum exactly
         return None
     cell = (((i - 1) * dim + j - 1) * 2 + y - 1) * dim + b - 1
     return rows if np.bincount(cell, minlength=n).max() == 1 else None
+
+
+def _plain_rows(raw: bytes) -> bool:
+    """True if ``raw`` is one or more lines of five comma-separated runs of digits, each ending in a newline.
+
+    A run may be empty: ``_accepted_rows`` measures each field's width.
+    """
+    skeleton = raw.translate(None, b"0123456789")
+    return bool(skeleton) and skeleton == b",,,,\n" * (len(skeleton) // 5)
 
 
 def _checked_rows(text: list) -> np.ndarray:

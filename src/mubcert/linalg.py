@@ -80,11 +80,15 @@ def operator_norm(m):
     """Largest singular value of a (generally non-Hermitian, or rectangular) matrix.
 
     A float for one matrix; for a stack of shape (..., r, s), an array of
-    shape (...) holding each matrix's norm.
+    shape (...) holding each matrix's norm.  A single row or column is
+    its own 2-norm, so such a stack takes no LAPACK call.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2:
         raise DimensionMismatch(f"expected matrices, got shape {a.shape}")
+    if 1 in a.shape[-2:]:
+        norms = np.sqrt(np.sum(a.real**2 + a.imag**2, axis=(-2, -1)))
+        return float(norms) if a.ndim == 2 else norms
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -11,14 +11,13 @@ factors (``A_i = K_i K_i^dagger``, ``B_j = L_j L_j^dagger``): ``tr(A_i B_j)``
 is a block's squared Frobenius norm, ``||sqrt(A_i) sqrt(B_j)||`` its norm.
 A pair is checked to be a POVM pair when it is built; whether it is
 unbiased is left to ``is_mutually_unbiased``, which the ``mub`` command
-reports and ``qrac.optimal_states`` requires.  ``mub_pair_to_dict`` and
-``document_json`` write the pair document of the ``mub`` command; nothing
-in the package reads one back.
+reports and ``qrac.optimal_states`` requires.  ``mub_pair_to_dict`` is
+the pair document of the ``mub`` command, which ``counts.document_json``
+writes; nothing in the package reads one back.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +91,10 @@ class MubPair:
     def __post_init__(self):
         if self.first.dim != self.second.dim:
             raise DimensionMismatch("measurements do not share a dimension")
-        if not np.max(np.abs(self.effects().sum(axis=1) - np.eye(self.dim))) <= DEFAULT_TOL:
-            raise NotProjective("measurement effects do not form a POVM")
+        eye = np.eye(self.dim)
+        for meas in (self.first, self.second):
+            if not np.max(np.abs(meas.effects.sum(axis=0) - eye)) <= DEFAULT_TOL:
+                raise NotProjective("measurement effects do not form a POVM")
 
     @property
     def dim(self) -> int:
@@ -218,37 +219,6 @@ def mub_pair_to_dict(pair: MubPair) -> dict:
         "first": measurement_to_dict(pair.first),
         "second": measurement_to_dict(pair.second),
     }
-
-
-def document_json(doc, depth: int = 0) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False)`` of a document whose arrays are ndarrays.
-
-    ``doc`` is a non-empty dict with str keys, a non-empty float ndarray
-    or a JSON scalar; a dict's values are the same.  An array is written
-    as its ``tolist()`` would be, with one ``%`` call into a skeleton of
-    nested brackets that takes one join per axis.  ``float.__repr__`` runs
-    once per distinct value, told apart by bit pattern, so that -0.0 and
-    0.0 keep their own text.
-    """
-    pad = "\n" + "  " * depth
-    if isinstance(doc, np.ndarray):
-        values = np.asarray(doc, dtype=float).ravel()
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        bits, where = np.unique(values.view(np.int64), return_inverse=True)
-        text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
-        skeleton = "%s"
-        for axis in reversed(range(doc.ndim)):
-            inner = pad + "  " * (axis + 1)
-            outer = pad + "  " * axis
-            skeleton = "[" + inner + ("," + inner).join([skeleton] * doc.shape[axis]) + outer + "]"
-        return skeleton % tuple(text[where].tolist())
-    if isinstance(doc, dict):
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            f"{json.dumps(key)}: {document_json(value, depth + 1)}"
-            for key, value in doc.items()) + pad + "}"
-    return json.dumps(doc, allow_nan=False)
 
 
 def depolarized_pair(pair: MubPair, visibility: float) -> MubPair:

@@ -145,9 +145,8 @@ def estimate_asp(counts: CountsTable) -> AspEstimate:
     setting without detections raises EmptyCell.
     """
     totals = counts.setting_totals().astype(float)
-    empty = np.argwhere(totals == 0)
-    if empty.size:
-        i, j, y = empty[0] + 1
+    if not totals.all():
+        i, j, y = np.argwhere(totals == 0)[0] + 1
         raise EmptyCell(f"setting (i={i}, j={j}, y={y}) has no detections")
 
     per_input = correct_outcomes(counts.cells) / totals

@@ -618,6 +618,61 @@ class TestOutputsInPlace:
         assert not (tmp_path / "c.csv.manifest.json").exists()
 
 
+class TestNoOutputOverwritesAnInput:
+    """A command refuses an output path that names one of its inputs, before writing anything."""
+
+    @pytest.fixture
+    def counts_csv(self, tmp_path):
+        write_counts_csv(ideal_expected_counts(60000), tmp_path / "c.csv")
+        return tmp_path / "c.csv"
+
+    @pytest.mark.parametrize("argv, manifest", [
+        (["certify", "--counts", "c.csv", "--out", "c.csv"], "c.csv.manifest.json"),
+        (["certify", "--counts", "c.csv", "--out", "c"], "c.manifest.json"),  # its table c.txt
+        (["figure-data", "--counts", "c.csv", "--out-prefix", "c"], "c_state_asp.csv.manifest.json"),
+    ], ids=["certify-out", "certify-no-suffix", "figure-data"])
+    def test_counts(self, tmp_path, capsys, counts_csv, argv, manifest):
+        if argv[0] == "figure-data":
+            counts_csv = counts_csv.rename(tmp_path / "c_state_asp.csv")
+            argv = [a if a != "c.csv" else counts_csv.name for a in argv]
+        elif argv[-1] == "c":
+            counts_csv = counts_csv.rename(tmp_path / "c.txt")
+            argv = [a if a != "c.csv" else counts_csv.name for a in argv]
+        data = counts_csv.read_bytes()
+        assert run(argv, tmp_path) == 2
+        assert_one_line_error(capsys.readouterr().err, "error: output ")
+        assert counts_csv.read_bytes() == data
+        assert not (tmp_path / manifest).exists()
+        assert list(tmp_path.iterdir()) == [counts_csv]
+
+    def test_manifest_path_of_the_output(self, tmp_path, capsys, counts_csv):
+        counts_csv = counts_csv.rename(tmp_path / "cert.json.manifest.json")
+        data = counts_csv.read_bytes()
+        assert run(["certify", "--counts", counts_csv.name, "--out", "cert.json"], tmp_path) == 2
+        assert_one_line_error(capsys.readouterr().err, "error: output ")
+        assert counts_csv.read_bytes() == data
+        assert list(tmp_path.iterdir()) == [counts_csv]
+
+    def test_another_path_to_the_input(self, tmp_path, capsys, counts_csv):
+        (tmp_path / "sub").mkdir()
+        os.link(counts_csv, tmp_path / "sub" / "link.csv")
+        data = counts_csv.read_bytes()
+        assert run(["certify", "--counts", "./sub/../c.csv", "--out", "sub/link.csv"],
+                   tmp_path) == 2
+        assert_one_line_error(capsys.readouterr().err, "error: output ")
+        assert counts_csv.read_bytes() == data
+        assert not (tmp_path / "sub" / "link.csv.manifest.json").exists()
+
+    def test_config(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"mu": 0.2}\n')
+        assert run(["simulate", "--config", "cfg.json", "--seed", "1", "--rounds", "1000",
+                    "--out", "cfg.json"], tmp_path) == 2
+        assert_one_line_error(capsys.readouterr().err, "error: output cfg.json is the input")
+        assert config.read_text() == '{"mu": 0.2}\n'
+        assert list(tmp_path.iterdir()) == [config]
+
+
 class TestReplay:
     def test_byte_identical_outputs(self, tmp_path):
         out = tmp_path / "run.csv"

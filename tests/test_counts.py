@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from mubcert import counts
 from mubcert.counts import (
-    CountsTable, read_counts_csv, row_layout, write_counts_csv, write_output,
+    CountsTable, document_json, float_texts, read_counts_csv, row_layout, write_counts_csv,
+    write_output,
 )
 from mubcert.errors import CountsFormatError
 from mubcert.photonics import ideal_expected_counts
@@ -38,6 +40,56 @@ def test_write_output_keeps_a_file_and_cuts_its_tail(tmp_path):
     write_output(path, "new\n")
     assert path.read_bytes() == b"new\n"
     assert path.stat().st_ino == inode
+
+
+def test_write_output_encodes_as_write_text(tmp_path):
+    text = "certificate for d=4: \u03b7 <= 1\n" * 3
+    ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+    write_output(ours, text)
+    theirs.write_text(text)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_float_texts_are_reprs_of_each_value():
+    values = np.array([[0.0, -0.0, 0.1], [-0.0, 5e-324, 0.1], [np.nan, -np.inf, 1e300]])
+    assert float_texts(values) == [repr(v) for v in values.ravel().tolist()]
+    assert float_texts(values)[:2] == ["0.0", "-0.0"]
+
+
+# documents as the commands write them: manifests hold lists, tuples, empty
+# containers, ints past int64, None, booleans, non-ASCII strings and float
+# subclasses; a pair document holds arrays, and an array may be empty
+DOCUMENTS = {
+    "manifest": {"command": ["simulate", "--seed", "7"], "tool_version": "0.1.0",
+                 "seed": 2**64 - 1, "config": {"tau": (1.0, 0.5), "phase_noise": {}},
+                 "inputs": [], "outputs": ["c\u00e9.csv"], "extra": {"ok": True, "none": None,
+                 "sigma": np.float64(0.25), "nested": [[], {}, [1, [2.5, "x"]]]}},
+    "scalars": [0, -0.0, 1e-320, "\"quoted\"\n", False],
+    "arrays": {"a": np.zeros((2, 0)), "b": np.array([[-0.0, 1.5]]), "c": np.array(2.0)},
+    "empty-dict": {},
+    "empty-list": [],
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_document_json_is_stdlib_json(name):
+    def listed(doc):
+        if isinstance(doc, np.ndarray):
+            return doc.tolist()
+        if isinstance(doc, dict):
+            return {k: listed(v) for k, v in doc.items()}
+        if isinstance(doc, (list, tuple)):
+            return [listed(v) for v in doc]
+        return doc
+
+    doc = DOCUMENTS[name]
+    assert document_json(doc) == json.dumps(listed(doc), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("doc", [[float("nan")], {"a": np.array([1.0, np.inf])}])
+def test_document_json_refuses_non_finite(doc):
+    with pytest.raises(ValueError):
+        document_json(doc)
 
 
 def test_write_is_canonical(tmp_path, table):
@@ -77,17 +129,34 @@ def test_reads_bytes_as_a_path_reads_its_file(tmp_path, table):
 
 @pytest.mark.parametrize("body", [
     "", "1,1,1,1,2.0", "1,1,1,1,1e0", "1,1,1,1,1_0", "1,1,1,1,\u0663", "1,1,1,1,\xa03",
-    "1,1,1,1,0000000000000000005", f"1,1,1,1,{2**63}",
+    "1,1,1,1,0000000000000000005", f"1,1,1,1,{2**63}", "1,1,1,1," + "9" * 19,
+    "1,1,1,1,-", "1,1,1,1,+3", "1,1,1,1,+-1", "1,1,,1,5", ",1,1,1,1", "1,1,1,1,1 0",
 ], ids=["empty", "float", "exponent", "separator", "arabic-indic", "nbsp",
-        "nineteen-digits", "past-int64"])
+        "nineteen-digits", "past-int64", "nineteen-nines",
+        "lone-minus", "plus", "doubled-sign", "empty-field", "leading-comma", "inner-space"])
 def test_bodies_numpy_may_misread_never_reach_it(monkeypatch, body):
-    # numpy warns on an empty body, and numpy < 2 parses an integer field
-    # that fails as an int through a float: these go to the per-line loop
+    # np.fromstring reads a lone '-' as 0, clamps a value past int64 and
+    # stops at a field it cannot read: these go to the per-line loop
     def refuse(*args, **kwargs):
-        raise AssertionError("np.loadtxt ran")
+        raise AssertionError("np.fromstring ran")
 
-    monkeypatch.setattr(counts.np, "loadtxt", refuse)
+    monkeypatch.setattr(counts.np, "fromstring", refuse)
     assert counts._accepted_rows(body) is None
+
+
+def test_the_accept_test_parses_with_fromstring(monkeypatch):
+    # a valid body reaches np.fromstring once, so the refusal above guards a real call
+    calls = []
+    real = np.fromstring
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counts.np, "fromstring", record)
+    body = "".join(f"{row}\n" for row in _complete_rows(2))
+    assert counts._accepted_rows(body).shape == (16, 5)
+    assert len(calls) == 1
 
 
 def test_rejects_duplicate_cells(tmp_path):

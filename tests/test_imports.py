@@ -124,3 +124,31 @@ TEST_ONLY_HELPERS = {
 def test_public_helpers_no_module_reads_are_pinned():
     trees = [ast.parse(path.read_text()) for path in PACKAGE]
     assert unexported_public_helpers(trees) == TEST_ONLY_HELPERS
+
+
+def calls_of(tree: ast.Module, module: str, name: str) -> list[ast.Call]:
+    """Calls of ``module.name`` in a tree, however the module is aliased on import."""
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == module}
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == name
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in aliases]
+
+
+def test_scan_finds_calls_through_an_alias():
+    tree = ast.parse("import json as j, numpy as np\nimport numpy\n"
+                     "j.dumps(1, indent=2)\nnp.loadtxt(f)\nnumpy.loadtxt(g)\nloadtxt(h)\n")
+    assert len(calls_of(tree, "json", "dumps")) == 1
+    assert len(calls_of(tree, "numpy", "loadtxt")) == 2
+
+
+def test_one_json_writer_and_one_counts_parser():
+    # every indented document is written by counts.document_json, and every
+    # counts body is parsed by the accept test's np.fromstring or the per-line loop
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        indented = [call.lineno for call in calls_of(tree, "json", "dumps")
+                    if any(k.arg == "indent" for k in call.keywords)]
+        assert indented == [], f"{path.name}: json.dumps(indent=...) at lines {indented}"
+        loadtxt = [call.lineno for call in calls_of(tree, "numpy", "loadtxt")]
+        assert loadtxt == [], f"{path.name}: np.loadtxt at lines {loadtxt}"

@@ -79,6 +79,22 @@ class TestOperatorNorm:
         norms = operator_norm(np.ones((3, 2, 1, 4)))
         assert norms.shape == (3, 2) and np.allclose(norms, 2.0, atol=1e-12)
 
+    def test_rows_and_columns_take_no_svd(self, monkeypatch):
+        # a single row or column is its own 2-norm: the SVD's value within rounding
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 3, 6, 1)) + 1j * rng.standard_normal((4, 3, 6, 1))
+        expected = np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd ran")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for m, norms in ((stack, expected), (stack.swapaxes(-1, -2), expected),
+                         (stack[..., :1, :], np.abs(stack[..., 0, 0]))):
+            assert np.allclose(operator_norm(m), norms, rtol=1e-14, atol=0)
+        assert isinstance(operator_norm(stack[0, 0]), float)
+        assert operator_norm(np.zeros((2, 0, 1))).tolist() == [0.0, 0.0]
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(5):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mubcert.cli import _pair_metrics
+from mubcert.counts import document_json
 from mubcert.errors import NotHermitian, NotProjective, NotPSD
 from mubcert.linalg import validate_povm
 from mubcert.mub import (
@@ -12,7 +13,6 @@ from mubcert.mub import (
     Measurement,
     MubPair,
     depolarized_pair,
-    document_json,
     fourier_mub_pair,
     hadamard_mub_pair_d4,
     is_mutually_unbiased,

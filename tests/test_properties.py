@@ -70,8 +70,9 @@ D2_LINES = ["i,j,y,outcome,count"] + [
     for i in (1, 2) for j in (1, 2) for y in (1, 2) for b in (1, 2)]
 # Tokens that int() reads and numpy's integer parser may not, or the reverse
 # (digit separators, non-ASCII digits and spaces, exponents, hex, quotes,
-# comment marks, doubled signs).
-PARSER_EDGES = ["1_0", "+3", "\u0663", "\xa03", "\t3", "1e0", "0x1", "3#c", '"3"', "+-1", "-0"]
+# comment marks, signs alone or doubled, empty fields).
+PARSER_EDGES = ["1_0", "+3", "\u0663", "\xa03", "\t3", "1e0", "0x1", "3#c", '"3"', "+-1", "-0",
+                "-", ""]
 INDEX = st.sampled_from(["1", "2", "3", "0", " 2", "01", "x", str(2**64), *PARSER_EDGES])
 COUNT = st.sampled_from(["0", "5", "-1", "2.0", str(2**62), str(2**63 - 1), str(2**63),
                          *PARSER_EDGES])
