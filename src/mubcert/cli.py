@@ -32,7 +32,6 @@ from . import __version__
 from .certify import full_certificate, min_asp_for_nontrivial_eta, report_table
 from .counts import (
     document_json,
-    float_texts,
     read_counts_csv,
     row_layout,
     write_counts_csv,
@@ -384,16 +383,16 @@ def cmd_figure_data(args, command) -> None:
     est = estimate_asp(table)
     d = table.dim
 
-    # each float is written as its repr, which reads back as the same double
+    # %r writes each float as its repr, which reads back as the same double
     probs = table.cells / table.setting_totals()[..., None].astype(float)
     outcome_cols = ",".join(f"p{b + 1}" for b in range(d))
-    layout = f"i,j,y,{outcome_cols}\n" + row_layout((d, d, 2), ",".join(["%s"] * d))
-    write_output(prob_path, layout % tuple(float_texts(probs)))
+    layout = f"i,j,y,{outcome_cols}\n" + row_layout((d, d, 2), ",".join(["%r"] * d))
+    write_output(prob_path, layout % tuple(probs.ravel().tolist()))
 
     refs = f"{quantum_optimum(d)!r},{float(min_asp_for_nontrivial_eta(d))!r}"
     layout = ("i,j,asp_y1,asp_y2,optimal_asp,min_selftest_asp\n"
-              + row_layout((d, d), f"%s,%s,{refs}"))
-    write_output(asp_path, layout % tuple(float_texts(est.per_input)))
+              + row_layout((d, d), f"%r,%r,{refs}"))
+    write_output(asp_path, layout % tuple(est.per_input.ravel().tolist()))
 
     RunManifest(
         command=command, inputs=list(inputs), input_sha256=inputs,

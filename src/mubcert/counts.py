@@ -12,7 +12,7 @@ only for rows of five ASCII fields of 1 to 18 digits each (spaces or
 tabs around a field and blank lines allowed); a per-line loop reads any
 other file and writes every message.
 
-``float_texts`` prints each distinct float once, for the figure CSVs and
+``float_texts`` prints each distinct float once, for the arrays of
 ``document_json``, which writes every JSON document: the basis-pair
 document, the certificate and each run manifest.  ``write_output``
 writes every file the package writes, this module's CSV and each output
@@ -23,12 +23,11 @@ close has to wait for the file system to flush it.
 from __future__ import annotations
 
 import io
-import math
+import json
 import os
 import re
 import stat
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,8 @@ CSV_HEADER = "i,j,y,outcome,count"
 
 # The encoding of Path.write_text and Path.read_text, fixed at import.
 _ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# json.dumps(value, allow_nan=False) without building an encoder per call.
+_json_value = json.JSONEncoder(allow_nan=False).encode
 # A space or tab between two digits, which np.fromstring would read as a
 # field boundary and int() refuses.
 _SPLIT_DIGITS = re.compile(rb"[0-9][ \t]+[0-9]")
@@ -110,26 +110,16 @@ def document_json(doc, depth: int = 0) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False)`` of a document that may hold float ndarrays.
 
     ``doc`` is a dict with str keys, a list or tuple, a float ndarray or a
-    JSON scalar (str, int, float, bool or None); the values and items of a
+    JSON scalar, which ``json.dumps`` writes; the values and items of a
     container are the same.  An array is written as its ``tolist()``
     would be, with one ``%`` call into a skeleton of nested brackets that
     takes one join per axis and the texts of ``float_texts``.
     """
-    if isinstance(doc, str):
-        return _json_string(doc)
-    if isinstance(doc, float):
-        if not math.isfinite(doc):
-            raise ValueError("Out of range float values are not JSON compliant")
-        return float.__repr__(doc)
-    if doc is None or doc is True or doc is False:
-        return _JSON_CONSTANTS[doc]
-    if isinstance(doc, int):
-        return int.__repr__(doc)
     pad = "\n" + "  " * depth
     inner = pad + "  "
     if isinstance(doc, dict):
         return "{" + inner + ("," + inner).join(
-            f"{_json_string(key)}: {document_json(value, depth + 1)}"
+            f"{_json_value(key)}: {document_json(value, depth + 1)}"
             for key, value in doc.items()) + pad + "}" if doc else "{}"
     if isinstance(doc, (list, tuple)):
         return "[" + inner + ("," + inner).join(
@@ -145,7 +135,7 @@ def document_json(doc, depth: int = 0) -> str:
             outer = pad + "  " * axis
             skeleton = "[" + inner + ("," + inner).join([skeleton] * doc.shape[axis]) + outer + "]"
         return skeleton % tuple(float_texts(doc))
-    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    return _json_value(doc)
 
 
 def write_output(path, text: str) -> None:
