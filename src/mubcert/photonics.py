@@ -24,9 +24,9 @@ pulses with three or more photons and every clicking pulse under the
 random walk, whose window shares its walk, get their own phases and Born
 row; every model draws pulses per setting and dark gates per (setting,
 arm) alike (see ``_block_counts``).  The sampler is exact either way.
-Only those event-path pulses cost memory, so a block is as many whole
-stabilization windows as hold about ``BLOCK_EVENTS`` of them
-(``_block_rounds``): up to 2**40 pulses without phase noise, and 28.5
+Only the photons of those event-path pulses cost memory, so a block is
+as many whole stabilization windows as hold about ``BLOCK_EVENTS`` of
+them (``_block_rounds``): up to 2**40 pulses without phase noise, and 9.3
 million under drift at mu * det_efficiency = 0.2.
 Both phase-noise models damp every two-arm interference term by one
 closed-form factor (see ``_damping``), so fringe visibility, expected
@@ -58,7 +58,7 @@ NOISE_MODELS = ("none", "gaussian_drift", "random_walk")
 
 # Names the counts stream simulate_counts gives for (config, rounds,
 # seed); bump it whenever that stream changes.  Manifests record it.
-SAMPLER_VERSION = "table-4"
+SAMPLER_VERSION = "table-5"
 
 # Phase stabilization restarts the random walk at zero every
 # STABILIZE_ROUNDS pulses of the global pulse index.  Every block is a
@@ -69,7 +69,7 @@ STABILIZE_ROUNDS = 1 << 10
 # Rounds are processed in blocks, each on an independent substream of
 # the master seed, so partial results merge identically regardless of
 # processing order.  A block is as many whole windows as keep its
-# expected number of event-path pulses (see _block_rounds) within
+# expected number of event-path photons (see _block_rounds) within
 # BLOCK_EVENTS, which bounds the memory of its event path, and at most
 # MAX_BLOCK_ROUNDS pulses, which keeps every per-block draw within
 # numpy's int64 range.
@@ -309,19 +309,28 @@ def _pair_table(config: InterferometerConfig) -> np.ndarray:
     (``_arm_amplitudes``), p(b|theta) p(b'|theta) is the sum over arms
     k, l, m, n of A[b,k] A*[b,l] A[b',m] A*[b',n] exp(i c.theta) with
     c = e_k - e_l + e_m - e_n, and exp(i c.theta) averages to
-    exp(-sigma^2 |c|^2 / 2), so the table is exact.  Its rows and
-    columns both sum to ``expected_outcome_probabilities(config)``.
+    exp(-sigma^2 |c|^2 / 2) (``_pair_exponents``), so the table is exact.
+    Its rows and columns both sum to ``expected_outcome_probabilities(config)``.
     """
     amps = _arm_amplitudes(config.tau)
     d = amps.shape[-1]
     # outer[s, b, k*d + l] = A[s, b, k] A*[s, b, l]
     outer = (amps[..., :, None] * amps[..., None, :].conj()).reshape(-1, d, d * d)
+    moment = np.exp(-0.5 * config.phase_noise.sigma ** 2 * _pair_exponents(d))
+    pairs = ((outer.reshape(-1, d * d) @ moment).reshape(outer.shape)
+             @ outer.transpose(0, 2, 1)).real
+    return np.maximum(pairs, 0.0)  # rounding can dip below 0 at a zero entry
+
+
+@functools.cache
+def _pair_exponents(d: int) -> np.ndarray:
+    """|c|^2 for c = e_k - e_l + e_m - e_n at ``[k*d + l, m*d + n]``, as floats (read-only)."""
     eye = np.eye(d)
     c = (eye[:, None, None, None] - eye[None, :, None, None]
          + eye[None, None, :, None] - eye[None, None, None, :])
-    moment = np.exp(-0.5 * config.phase_noise.sigma ** 2 * np.sum(c * c, axis=-1))
-    pairs = (outer @ moment.reshape(d * d, d * d) @ outer.transpose(0, 2, 1)).real
-    return np.maximum(pairs, 0.0)  # rounding can dip below 0 at a zero entry
+    table = np.sum(c * c, axis=-1).reshape(d * d, d * d)
+    table.flags.writeable = False
+    return table
 
 
 def ideal_expected_counts(total: int) -> CountsTable:
@@ -374,44 +383,24 @@ def _walk_phases(sigma: float, events: np.ndarray, arms: int,
     return walk - (walk[first_of] - steps[first_of])
 
 
-def _zero_truncated_poisson(lam: float, size: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Poisson(lam) draws conditioned on being at least 1.
+def _poisson_table(m: int, lam: float) -> np.ndarray:
+    """CDF of Poisson(lam) conditioned on at least m >= 1, entry i for m + i.
 
-    The first arrival T of a unit-rate Poisson process, conditioned on
-    T < lam, is -log1p(-q*U) with q = 1 - exp(-lam) and U uniform; the
-    arrivals after it are Poisson(lam - T).  Finite for any lam > 0.
+    The terms from k = m are products of the ratios lam / k, cut before
+    the first k whose tail sum falls below 2**-53 of the total, the
+    resolution of a uniform double; the last entry is exactly 1.
     """
-    q = -math.expm1(-lam)
-    first = -np.log1p(-q * rng.random(size))
-    return 1 + rng.poisson(np.maximum(lam - first, 0.0))  # rounding can dip below 0
+    k = np.arange(m + 1, m + int(3 * lam) + 64)  # reaches far past that cut for lam <= 40
+    terms = np.cumprod(np.concatenate(([1.0], lam / k)))
+    tails = np.cumsum(terms[::-1])[::-1]
+    cdf = np.cumsum(terms[:np.argmax(tails < tails[0] * 2.0 ** -53)])
+    return cdf / cdf[-1]
 
 
 def _poisson_at_least(m: int, lam: float, size: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Poisson(lam) draws conditioned on being at least m >= 2, by rejection.
-
-    Up to lam = m a proposal is K = (m - 1) + a zero-truncated draw,
-    whose pmf is the target's times K! / (K - m + 1)! up to a constant,
-    kept with probability m! (K - m + 1)! / K!, which is 1 at K = m;
-    above, a Poisson(lam) draw kept when at least m.  For m = 3 either
-    keeps more than two in five of its proposals.
-    """
-    out = np.empty(size, dtype=np.int64)
-    todo = np.arange(size)
-    while todo.size:
-        if lam <= m:
-            k = (m - 1) + _zero_truncated_poisson(lam, todo.size, rng)
-            falling = k.astype(float)  # K! / (K - m + 1)!
-            for i in range(1, m - 1):
-                falling *= k - i
-            keep = rng.random(todo.size) * falling < math.factorial(m)
-        else:
-            k = rng.poisson(lam, todo.size)
-            keep = k >= m
-        out[todo[keep]] = k[keep]
-        todo = todo[~keep]
-    return out
+    """Poisson(lam) draws conditioned on at least m >= 1, one uniform each (``_poisson_table``)."""
+    return m + np.searchsorted(_poisson_table(m, lam), rng.random(size), side="right")
 
 
 def _window(model: str) -> int:
@@ -453,11 +442,12 @@ def _photon_split(lam: float) -> list[float]:
 def _block_rounds(config: InterferometerConfig) -> int:
     """Pulses per block: the most whole windows within the event budget.
 
-    A pulse takes the event path (``_photon_hits``) with probability
-    P(N >= 3) under Gaussian drift, 1 - exp(-lam) under the random walk
-    and 0 without noise or at sigma = 0, N ~ Poisson(lam) its detected
-    photons.  A block is the most whole windows that hold at most
-    BLOCK_EVENTS such pulses in expectation, but at least one window and
+    A pulse brings its photons to the event path (``_photon_hits``) when
+    N >= 3 under Gaussian drift, when N >= 1 under the random walk and
+    never without noise or at sigma = 0, N ~ Poisson(lam) its detected
+    photons; that is E[N; N >= 3] = lam P(N >= 2), lam and 0 photons per
+    pulse.  A block is the most whole windows that hold at most
+    BLOCK_EVENTS such photons in expectation, but at least one window and
     at most MAX_BLOCK_ROUNDS pulses.
     """
     lam = config.mu * config.det_efficiency
@@ -465,11 +455,27 @@ def _block_rounds(config: InterferometerConfig) -> int:
     if noise.model == "none" or noise.sigma == 0.0:
         share = 0.0
     elif noise.model == "gaussian_drift":
-        share = _photon_split(lam)[3]
+        share = lam * (-math.expm1(-lam) - lam * math.exp(-lam))
     else:
-        share = -math.expm1(-lam)
+        share = lam
     most = min(BLOCK_EVENTS / share, MAX_BLOCK_ROUNDS) if share > 0.0 else MAX_BLOCK_ROUNDS
     return STABILIZE_ROUNDS * max(1, int(most) // STABILIZE_ROUNDS)
+
+
+def _born_cdf(amps: np.ndarray, settings: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Cumulative Born row of every pulse, shape (pulses, d), its last column exactly 1.
+
+    Pulse p's Born row is ``|amps[settings[p]] @ exp(i phases[p])|^2``
+    with ``amps`` from ``_arm_amplitudes``.
+    """
+    rotation = np.empty(phases.shape, dtype=complex)  # exp(i theta)
+    np.cos(phases, out=rotation.real)
+    np.sin(phases, out=rotation.imag)
+    cum = np.abs(amps[settings] @ rotation[:, :, None])[..., 0] ** 2
+    for b in range(1, cum.shape[1]):  # np.cumsum(axis=1)'s sums, one vector add per column
+        cum[:, b] += cum[:, b - 1]
+    cum /= cum[:, -1:]
+    return cum
 
 
 def _photon_hits(amps: np.ndarray, settings: np.ndarray, n_photons: np.ndarray,
@@ -477,20 +483,13 @@ def _photon_hits(amps: np.ndarray, settings: np.ndarray, n_photons: np.ndarray,
     """Flat cell index of every photon of the given pulses.
 
     Pulse p has setting ``settings[p]``, ``n_photons[p]`` detected photons
-    and preparation phases ``phases[p]``.  Its Born row is
-    ``|amps[s] @ exp(i theta)|^2`` with ``amps`` from ``_arm_amplitudes``,
-    and each of its photons draws one uniform against the row.  The cell
+    and preparation phases ``phases[p]``, and each of its photons draws
+    one uniform against its cumulative Born row (``_born_cdf``).  The cell
     of outcome b for setting s is s*d + b, the flat index of
     ``CountsTable.cells``.
     """
     d = amps.shape[-1]
-    rotation = np.empty(phases.shape, dtype=complex)  # exp(i theta)
-    np.cos(phases, out=rotation.real)
-    np.sin(phases, out=rotation.imag)
-    probs = np.abs(amps[settings] @ rotation[:, :, None])[..., 0] ** 2
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-
+    cum = _born_cdf(amps, settings, phases)
     u = rng.random(n_photons.sum())
     cell = np.repeat(settings * d, n_photons)
     for b in range(d - 1):  # the last column is exactly 1, which no uniform passes
@@ -554,7 +553,7 @@ def _block_counts(config: InterferometerConfig, amps: np.ndarray, born: np.ndarr
         clicks = rng.binomial(pulses, -math.expm1(-lam))
         at = np.sort(rng.choice(n_rounds, clicks.sum(), replace=False, shuffle=False))
         events = rng.permutation(np.repeat(np.arange(n_settings), clicks))
-        n_photons = _zero_truncated_poisson(lam, events.size, rng)
+        n_photons = _poisson_at_least(1, lam, events.size, rng)
         phases = _walk_phases(noise.sigma, at, d, rng)
     hits = _photon_hits(amps, events, n_photons, phases, rng)
     cells += np.bincount(hits, minlength=n_settings * d).reshape(n_settings, d)
@@ -634,17 +633,13 @@ def fringe_visibility(config: InterferometerConfig, arm_pair: tuple[int, int]) -
     return 2.0 * tk * tl / norm_sq * _damping(config.phase_noise)
 
 
-def mean_fringe_visibility(config: InterferometerConfig, seed: int = 0) -> float:
-    """Visibility averaged over all arm pairs.
-
-    ``seed`` is unused: the visibility is in closed form.
-    """
+def mean_fringe_visibility(config: InterferometerConfig) -> float:
+    """Visibility averaged over all arm pairs, in closed form."""
     pairs = itertools.combinations(range(1, len(config.tau) + 1), 2)
     return float(np.mean([fringe_visibility(config, pair) for pair in pairs]))
 
 
-def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float,
-                          seed: int = 0) -> float:
+def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float) -> float:
     """Tune the phase-noise sigma to hit a target mean fringe visibility.
 
     The mean visibility is V0 * D(sigma^2, K) with V0 the noiseless mean
@@ -653,7 +648,7 @@ def calibrate_drift_sigma(config: InterferometerConfig, target_visibility: float
     most h, and Jensen's inequality, D >= exp(-x (K+1)/2), at least
     2h/(K+1).  Bisection on that bracket runs until the midpoint stops
     moving; for Gaussian drift (K = 1) the bracket is the single point
-    sigma = sqrt(ln(V0 / V)).  ``seed`` is unused: the result is exact.
+    sigma = sqrt(ln(V0 / V)).
     """
     model = config.phase_noise.model
     if model == "none":

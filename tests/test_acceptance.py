@@ -148,9 +148,9 @@ def test_criterion_6_calibrated_noise_reproduction(capsys):
             det_efficiency=1.0,  # reach ~1e6 detections within the runtime cap
             phase_noise=PhaseNoiseConfig("gaussian_drift", 0.0),
         )
-        sigma = calibrate_drift_sigma(base, 0.9989, seed=21)
+        sigma = calibrate_drift_sigma(base, 0.9989)
         config = replace(base, phase_noise=PhaseNoiseConfig("gaussian_drift", sigma))
-        vis = mean_fringe_visibility(config, seed=21)
+        vis = mean_fringe_visibility(config)
         assert abs(vis - 0.9989) <= 0.0005
         est = estimate_asp(simulate_counts(config, rounds=5_000_000, seed=21))
         assert 0.745 <= est.value <= 0.751

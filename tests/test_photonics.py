@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubcert.counts import CountsTable, write_counts_csv
 from mubcert import photonics
@@ -14,18 +16,20 @@ from mubcert.errors import ConfigError
 from mubcert.mub import HADAMARD4, hadamard_mub_pair_d4, is_mutually_unbiased, MubPair, Measurement
 from mubcert.photonics import (
     MAX_BLOCK_ROUNDS,
+    MAX_PHOTON_RATE,
     STABILIZE_ROUNDS,
     InterferometerConfig,
     PhaseNoiseConfig,
     _arm_amplitudes,
     _block_counts,
     _block_rounds,
+    _born_cdf,
     _damping,
     _pair_table,
     _poisson_at_least,
+    _poisson_table,
     _protocol_tables,
     _walk_phases,
-    _zero_truncated_poisson,
     calibrate_drift_sigma,
     detection_probabilities,
     expected_outcome_probabilities,
@@ -166,37 +170,46 @@ class TestSampleSource:
             sample_source(0.0, np.random.default_rng(0))
 
 
-class TestZeroTruncatedPoisson:
-    @pytest.mark.parametrize("lam", [0.02, 1.5, 40.0])
-    def test_mean_and_single_photon_share(self, lam):
-        n = 200_000
-        x = _zero_truncated_poisson(lam, n, np.random.default_rng(3))
-        assert x.min() >= 1
-        q = -math.expm1(-lam)
-        mean = lam / q
-        var = mean * (1.0 + lam - mean)
-        assert abs(x.mean() - mean) < 5 * math.sqrt(var / n)
-        p1 = lam * math.exp(-lam) / q
-        assert abs(np.mean(x == 1) - p1) < 5 * math.sqrt(p1 * (1 - p1) / n) + 1e-12
+def conditioned_poisson_terms(m, lam, top):
+    """Poisson(lam) terms for k = m..top - 1, scaled so the largest is 1."""
+    k = np.arange(m, top)
+    log_terms = k * math.log(lam) - lam - np.array([math.lgamma(v + 1.0) for v in k])
+    return k, np.exp(log_terms - log_terms.max())
 
 
 class TestPoissonAtLeast:
-    @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("lam", [0.02, 1.5, 40.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.02, 0.2, 1.5, 40.0])
     def test_mean_and_share_at_the_minimum(self, m, lam):
         n = 200_000
         x = _poisson_at_least(m, lam, n, np.random.default_rng(4))
         assert x.min() >= m
         # the conditioned pmf from the Poisson terms k >= m, far past the mode
-        k = np.arange(m, 400)
-        log_terms = k * math.log(lam) - lam - np.array([math.lgamma(v + 1.0) for v in k])
-        pmf = np.exp(log_terms - log_terms.max())
+        k, pmf = conditioned_poisson_terms(m, lam, 400)
         pmf /= pmf.sum()
         mean = float(k @ pmf)
         var = float((k - mean) ** 2 @ pmf)
         assert abs(x.mean() - mean) < 5 * math.sqrt(var / n)
         share = float(pmf[0])
         assert abs(np.mean(x == m) - share) < 5 * math.sqrt(share * (1 - share) / n) + 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 3]),
+           lam=st.floats(0.0, MAX_PHOTON_RATE, exclude_min=True),
+           size=st.integers(0, 300), seed=st.integers(0, 2 ** 32))
+    def test_table_cuts_a_tail_below_a_uniform_double_and_draws_one_each(self, m, lam,
+                                                                         size, seed):
+        cdf = _poisson_table(m, lam)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        # the conditioned mass past the table's last entry, m + cdf.size - 1;
+        # the slack covers the rounding of the table's own term products
+        _, terms = conditioned_poisson_terms(m, lam, m + cdf.size + 400)
+        assert terms[cdf.size:].sum() < terms.sum() * 2.0 ** -53 * (1 + 1e-9)
+        drawn, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = _poisson_at_least(m, lam, size, drawn)
+        plain.random(size)
+        assert drawn.bit_generator.state == plain.bit_generator.state
+        assert x.shape == (size,) and np.all((m <= x) & (x < m + cdf.size))
 
 
 class TestEndToEndConsistency:
@@ -327,7 +340,7 @@ class TestSimulateCounts:
         assert abs(est.value - 0.75) < 4 * est.sigma
 
     # sha256 of the counts CSV for 300k rounds at seed 424242 (sampler
-    # "table-4", one block each); any change to the sampler's draw order,
+    # "table-5", one block each); any change to the sampler's draw order,
     # decoding or block sizes changes these, and SAMPLER_VERSION must
     # change with them.  The drift case runs the 0/1/2/3+ photon split,
     # the pair table and the event path of the pulses with three or more
@@ -338,10 +351,10 @@ class TestSimulateCounts:
         (dict(phase_noise=PhaseNoiseConfig(), dark_count_prob=0.0),
          "32371980d7bab992e998ed4888ee5603314eb5e4aa9da0af0bf4426913d94225"),
         (dict(phase_noise=PhaseNoiseConfig("random_walk", 1e-3), dark_count_prob=0.01),
-         "93105fd378f852b8995654d9e79193cc822ab97a8b36f56fe221f3737f46076c"),
+         "435a14752fa69b51c59deedf02d9af3474c2c0a2f4bd968a6dc9d0983bde0d63"),
         (dict(det_efficiency=1.0, dark_count_prob=1e-5,
               phase_noise=PhaseNoiseConfig("gaussian_drift", 0.0332)),
-         "1fc53910e2e02090ae61ec2396eb8ee53e9a952924a29760486e38d702734564"),
+         "822b1c55cf4daa7ec13eef81f76acea63e9b228c947051ebf0bd3f8bb871ea70"),
     ], ids=["default", "random-walk-dark", "drift-bright-dark"])
     def test_sampler_stream_is_pinned(self, tmp_path, changes, digest):
         cfg = replace(InterferometerConfig(), **changes)
@@ -376,10 +389,11 @@ class TestBlockRounds:
     def test_most_whole_windows_within_the_budget(self, model, lam):
         cfg = replace(InterferometerConfig(), mu=lam, det_efficiency=1.0,
                       phase_noise=PhaseNoiseConfig(model, 0.1))
+        # expected event-path photons per pulse: E[N; N >= 3] and E[N]
         if model == "gaussian_drift":
-            share = 1.0 - math.exp(-lam) * (1.0 + lam + 0.5 * lam * lam)
+            share = lam * (1.0 - math.exp(-lam) * (1.0 + lam))
         else:
-            share = 1.0 - math.exp(-lam)
+            share = lam
         n = _block_rounds(cfg)
         assert n % STABILIZE_ROUNDS == 0 and STABILIZE_ROUNDS <= n <= MAX_BLOCK_ROUNDS
         if n > STABILIZE_ROUNDS:
@@ -453,6 +467,21 @@ class TestPairTable:
         se = np.sqrt((total_sq / draws - mean ** 2) / draws)
         assert np.all(np.abs(mean - _pair_table(cfg)) < 5 * se + 1e-12)
 
+    @pytest.mark.parametrize("cfg", [BRIGHT_DRIFT, drift_config(0.3), drift_config(1.0)],
+                             ids=["bright-drift", "0.3", "1.0"])
+    def test_equals_the_stacked_product_bit_for_bit(self, cfg):
+        # the former build: the |c|^2 table from np.eye on every call and
+        # the first product as a stack of (d, d*d) @ (d*d, d*d) products
+        amps = _arm_amplitudes(cfg.tau)
+        d = amps.shape[-1]
+        outer = (amps[..., :, None] * amps[..., None, :].conj()).reshape(-1, d, d * d)
+        eye = np.eye(d)
+        c = (eye[:, None, None, None] - eye[None, :, None, None]
+             + eye[None, None, :, None] - eye[None, None, None, :])
+        moment = np.exp(-0.5 * cfg.phase_noise.sigma ** 2 * np.sum(c * c, axis=-1))
+        pairs = (outer @ moment.reshape(d * d, d * d) @ outer.transpose(0, 2, 1)).real
+        assert _pair_table(cfg).tobytes() == np.maximum(pairs, 0.0).tobytes()
+
     def test_built_once_per_simulate_call(self, monkeypatch):
         built = []
         original = photonics._pair_table
@@ -476,6 +505,26 @@ class TestPairTable:
         simulate_counts(cfg, rounds=1000, seed=3)
         assert _arm_amplitudes.cache_info().misses == 1
         assert not _arm_amplitudes(cfg.tau).flags.writeable
+
+
+class TestBornCdf:
+    @pytest.mark.parametrize("tau", [(1.0, 1.0, 1.0, 1.0), (1.0, 0.7, 1.0, 0.9),
+                                     (0.0, 1.0, 1.0, 0.3)])
+    def test_equals_cumsum_bit_for_bit_and_ends_at_one(self, tau):
+        amps = _arm_amplitudes(tau)
+        rng = np.random.default_rng(12)
+        settings = rng.integers(0, 32, 5_000)
+        phases = rng.normal(0.0, 1.0, (5_000, 4))
+        # the former cumulative rows: np.cumsum along each row
+        rotation = np.empty(phases.shape, dtype=complex)
+        np.cos(phases, out=rotation.real)
+        np.sin(phases, out=rotation.imag)
+        probs = np.abs(amps[settings] @ rotation[:, :, None])[..., 0] ** 2
+        cum = np.cumsum(probs, axis=1)
+        cum /= cum[:, -1:]
+        rows = _born_cdf(amps, settings, phases)
+        assert rows.tobytes() == cum.tobytes()
+        assert np.all(rows[:, -1] == 1.0)
 
 
 def per_pulse_counts(cfg, n, seed):
@@ -587,8 +636,8 @@ class TestSamplerDistribution:
                 phase_noise=PhaseNoiseConfig("random_walk", 0.02)),
     ], ids=["drift", "walk"])
     def test_multi_block_runs_match(self, monkeypatch, cfg):
-        # 195 (drift) and 795 (walk) event-path pulses per window here, so
-        # a budget of 256 makes one-window blocks: four whole, one partial
+        # 679 (drift) and 1,536 (walk) event-path photons per window here,
+        # so a budget of 256 makes one-window blocks: four whole, one partial
         monkeypatch.setattr(photonics, "BLOCK_EVENTS", 256)
         sizes = record_blocks(monkeypatch)
         simulate_counts(cfg, rounds=5_000, seed=0)
@@ -747,9 +796,9 @@ class TestCalibration:
             InterferometerConfig(),
             phase_noise=PhaseNoiseConfig("gaussian_drift", 0.0),
         )
-        sigma = calibrate_drift_sigma(cfg, 0.9989, seed=20)
+        sigma = calibrate_drift_sigma(cfg, 0.9989)
         calibrated = replace(cfg, phase_noise=PhaseNoiseConfig("gaussian_drift", sigma))
-        assert mean_fringe_visibility(calibrated, seed=20) == pytest.approx(
+        assert mean_fringe_visibility(calibrated) == pytest.approx(
             0.9989, abs=5e-4
         )
         # analytic relation for iid Gaussian noise: V = exp(-sigma^2)
@@ -757,7 +806,7 @@ class TestCalibration:
 
     def test_requires_noise_model(self):
         with pytest.raises(ConfigError):
-            calibrate_drift_sigma(InterferometerConfig(), 0.9989, seed=0)
+            calibrate_drift_sigma(InterferometerConfig(), 0.9989)
 
     def test_gaussian_drift_is_closed_form(self):
         # V = V0_mean * exp(-sigma^2) with V0_mean over the six arm pairs
@@ -783,7 +832,7 @@ class TestCalibration:
         assert v0 < 0.9989
         for target in (0.9989, v0):
             with pytest.raises(ConfigError):
-                calibrate_drift_sigma(cfg, target, seed=0)
+                calibrate_drift_sigma(cfg, target)
 
     def test_walk_calibration_reads_target_back(self):
         cfg = replace(
