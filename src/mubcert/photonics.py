@@ -455,7 +455,7 @@ def _block_rounds(config: InterferometerConfig) -> int:
     if noise.model == "none" or noise.sigma == 0.0:
         share = 0.0
     elif noise.model == "gaussian_drift":
-        share = lam * (-math.expm1(-lam) - lam * math.exp(-lam))
+        share = lam * sum(_photon_split(lam)[2:])
     else:
         share = lam
     most = min(BLOCK_EVENTS / share, MAX_BLOCK_ROUNDS) if share > 0.0 else MAX_BLOCK_ROUNDS

@@ -513,16 +513,16 @@ class TestBornCdf:
     def test_equals_cumsum_bit_for_bit_and_ends_at_one(self, tau):
         amps = _arm_amplitudes(tau)
         rng = np.random.default_rng(12)
-        settings = rng.integers(0, 32, 5_000)
+        pulse_settings = rng.integers(0, 32, 5_000)
         phases = rng.normal(0.0, 1.0, (5_000, 4))
         # the former cumulative rows: np.cumsum along each row
         rotation = np.empty(phases.shape, dtype=complex)
         np.cos(phases, out=rotation.real)
         np.sin(phases, out=rotation.imag)
-        probs = np.abs(amps[settings] @ rotation[:, :, None])[..., 0] ** 2
+        probs = np.abs(amps[pulse_settings] @ rotation[:, :, None])[..., 0] ** 2
         cum = np.cumsum(probs, axis=1)
         cum /= cum[:, -1:]
-        rows = _born_cdf(amps, settings, phases)
+        rows = _born_cdf(amps, pulse_settings, phases)
         assert rows.tobytes() == cum.tobytes()
         assert np.all(rows[:, -1] == 1.0)
 
