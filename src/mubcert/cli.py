@@ -112,17 +112,26 @@ def _manifest_path(primary_output) -> Path:
 def _refuse_overwrite(inputs, outputs) -> None:
     """Raise UsageError if any output path names the same file as an input.
 
-    An output that exists is compared with ``os.path.samefile``, so a
-    link or another spelling of the input's path counts; one that does
+    Each path is stat'ed once.  An output that exists is compared with
+    the inputs by device and inode, as ``os.path.samefile`` compares, so
+    a link or another spelling of the input's path counts; one that does
     not is compared by resolved path.
     """
+    files = {}
+    for path in inputs:
+        st = os.stat(path)
+        files.setdefault((st.st_dev, st.st_ino), path)
     for out in outputs:
-        exists = os.path.exists(out)
-        for path in inputs:
-            if (os.path.samefile(path, out) if exists
-                    else Path(path).resolve() == Path(out).resolve()):
-                raise UsageError(f"output {out} is the input {path}: "
-                                 "give an output path that no input has")
+        try:
+            st = os.stat(out)
+        except (OSError, ValueError):  # what os.path.exists reads as missing
+            target = os.path.realpath(out)
+            path = next((path for path in inputs if os.path.realpath(path) == target), None)
+        else:
+            path = files.get((st.st_dev, st.st_ino))
+        if path is not None:
+            raise UsageError(f"output {out} is the input {path}: "
+                             "give an output path that no input has")
 
 
 def _sha256(data: bytes) -> str:
@@ -142,7 +151,7 @@ def _fresh_seed() -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 0 on --help and --version, 2 on bad argv
         return EXIT_OK if not exc.code else EXIT_ARGS
     try:
@@ -173,12 +182,33 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with argv sent straight to its subcommand's parser.
+
+    When ``argv[0]`` names a subcommand, that subcommand's parser reads
+    the rest, which skips the top-level parser's pass over every
+    argument.  Whatever that parser leaves unread goes back through the
+    full parser, which reports it as it always has; so does any other
+    argv (``--help``, ``--version``, an unknown subcommand, no argument)
+    and one with an argument starting ``--=``, an abbreviation that the
+    top-level parser itself finds ambiguous.
+    """
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None and not any(a.startswith("--=") for a in argv):
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later call.
 
     ``parse_args`` keeps no state between calls, so ``main`` and
-    ``replay`` parse with the same parser.
+    ``replay`` parse with the same parser.  Its ``subcommands`` maps each
+    subcommand's name to its parser.
     """
     parser = argparse.ArgumentParser(
         prog="mubcert",
@@ -227,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("manifest")
     p.set_defaults(func=cmd_replay)
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -411,11 +442,17 @@ def cmd_replay(args, command) -> None:
             raise ValueError("its command is not a non-empty list of strings")
         try:
             with contextlib.redirect_stderr(io.StringIO()):  # the data error reports it
-                replayed = build_parser().parse_args(argv)
+                replayed = _parse(argv)
         except SystemExit:
             raise ValueError("its command is not a valid command") from None
         if replayed.subcommand == "replay":
             raise ValueError("its command is itself a replay")
+        extra = doc.get("extra")
+        if isinstance(extra, dict) and extra.get("mode") == "monte-carlo":
+            sampler = extra.get("sampler")
+            if sampler != SAMPLER_VERSION:
+                raise ValueError(f"its counts were drawn by sampler {sampler}, "
+                                 f"not by this version's {SAMPLER_VERSION}")
         digests = doc.get("input_sha256", {})
         if not isinstance(digests, dict):
             raise ValueError("its input_sha256 is not an object")

@@ -12,12 +12,13 @@ only for rows of five ASCII fields of 1 to 18 digits each (spaces or
 tabs around a field and blank lines allowed); a per-line loop reads any
 other file and writes every message.
 
-``float_texts`` prints each distinct float once, for the arrays of
-``document_json``, which writes every JSON document: the basis-pair
-document, the certificate and each run manifest.  ``write_output``
-writes every file the package writes, this module's CSV and each output
-of the CLI, in place: it never truncates a file to zero first, so no
-close has to wait for the file system to flush it.
+``document_json`` writes every JSON document: the basis-pair document,
+the certificate and each run manifest.  The stdlib encoder writes each
+part that holds no array; ``float_texts`` prints each distinct float of
+an array once.  ``write_output`` writes every file the package writes,
+this module's CSV and each output of the CLI, in place: it never
+truncates a file to zero first, so no close has to wait for the file
+system to flush it.
 """
 
 from __future__ import annotations
@@ -38,8 +39,13 @@ CSV_HEADER = "i,j,y,outcome,count"
 
 # The encoding of Path.write_text and Path.read_text, fixed at import.
 _ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
-# json.dumps(value, allow_nan=False) without building an encoder per call.
+# json.dumps(value, allow_nan=False) and json.dumps(doc, indent=2,
+# allow_nan=False) without building an encoder per call.
 _json_value = json.JSONEncoder(allow_nan=False).encode
+_json_document = json.JSONEncoder(indent=2, allow_nan=False).encode
+# The types the encoder writes as JSON scalars (bool is an int), which
+# both encoders above write alike.
+_SCALARS = (str, int, float, type(None))
 # A space or tab between two digits, which np.fromstring would read as a
 # field boundary and int() refuses.
 _SPLIT_DIGITS = re.compile(rb"[0-9][ \t]+[0-9]")
@@ -109,33 +115,59 @@ def float_texts(values) -> list:
 def document_json(doc, depth: int = 0) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False)`` of a document that may hold float ndarrays.
 
-    ``doc`` is a dict with str keys, a list or tuple, a float ndarray or a
-    JSON scalar, which ``json.dumps`` writes; the values and items of a
-    container are the same.  An array is written as its ``tolist()``
-    would be, with one ``%`` call into a skeleton of nested brackets that
-    takes one join per axis and the texts of ``float_texts``.
+    ``doc`` is a dict, a list or tuple, a float ndarray or a JSON scalar;
+    the values and items of a container are the same, and dict keys are
+    those ``json.dumps`` takes, written as it writes them.  A scalar, or
+    a part that holds no array, is written by one call of a stdlib
+    encoder, its newlines then padded to ``depth``: an encoded JSON
+    string holds no raw newline.  Only a container that holds an array is written here,
+    item by item, and an array as its ``tolist()`` would be, with one
+    ``%`` call into a skeleton of nested brackets that takes one join per
+    axis and the texts of ``float_texts``.
     """
+    if isinstance(doc, _SCALARS):
+        return _json_value(doc)
     pad = "\n" + "  " * depth
+    if not _holds_array(doc):
+        return _json_document(doc).replace("\n", pad) if depth else _json_document(doc)
     inner = pad + "  "
     if isinstance(doc, dict):
         return "{" + inner + ("," + inner).join(
-            f"{_json_value(key)}: {document_json(value, depth + 1)}"
-            for key, value in doc.items()) + pad + "}" if doc else "{}"
+            f"{_json_key(key)}: {document_json(value, depth + 1)}"
+            for key, value in doc.items()) + pad + "}"
     if isinstance(doc, (list, tuple)):
         return "[" + inner + ("," + inner).join(
-            document_json(item, depth + 1) for item in doc) + pad + "]" if doc else "[]"
-    if isinstance(doc, np.ndarray):
-        if not doc.size:
-            return document_json(doc.tolist(), depth)
-        if not np.isfinite(doc).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        skeleton = "%s"
-        for axis in reversed(range(doc.ndim)):
-            inner = pad + "  " * (axis + 1)
-            outer = pad + "  " * axis
-            skeleton = "[" + inner + ("," + inner).join([skeleton] * doc.shape[axis]) + outer + "]"
-        return skeleton % tuple(float_texts(doc))
-    return _json_value(doc)
+            document_json(item, depth + 1) for item in doc) + pad + "]"
+    if not doc.size:
+        return document_json(doc.tolist(), depth)
+    if not np.isfinite(doc).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    skeleton = "%s"
+    for axis in reversed(range(doc.ndim)):
+        inner = pad + "  " * (axis + 1)
+        outer = pad + "  " * axis
+        skeleton = "[" + inner + ("," + inner).join([skeleton] * doc.shape[axis]) + outer + "]"
+    return skeleton % tuple(float_texts(doc))
+
+
+def _holds_array(doc) -> bool:
+    """True if ``doc`` is an ndarray or a dict, list or tuple with one anywhere inside.
+
+    A JSON scalar is passed over without a call, as most items are one.
+    """
+    if isinstance(doc, dict):
+        doc = doc.values()
+    elif not isinstance(doc, (list, tuple)):
+        return isinstance(doc, np.ndarray)
+    for item in doc:
+        if not isinstance(item, _SCALARS) and _holds_array(item):
+            return True
+    return False
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str, int, float, bool or None key in quotes."""
+    return _json_value(key) if isinstance(key, str) else _json_value({key: 0})[1:-4]
 
 
 def write_output(path, text: str) -> None:

@@ -508,9 +508,9 @@ def _block_counts(config: InterferometerConfig, amps: np.ndarray, born: np.ndarr
     sigma > 0); all depend only on the config, so ``simulate_counts``
     builds them once for all blocks.
 
-    Every model first draws the pulses per setting and the dark gates per
-    (setting, arm); a setting s = 2*(i*d + j) + y encodes the input dits
-    and basis.  Each pulse has Poisson(lam) detected photons,
+    Every model first draws the pulses per setting and, at
+    dark_count_prob > 0, the dark gates per (setting, arm); a setting
+    s = 2*(i*d + j) + y encodes the input dits and basis.  Each pulse has Poisson(lam) detected photons,
     lam = mu * det_efficiency.  Without noise or at sigma = 0, whole
     per-setting counts are drawn from the Born table.  Under drift each setting's pulses
     split into 0, 1, 2 and at least 3 photons: single photons land by the
@@ -529,9 +529,14 @@ def _block_counts(config: InterferometerConfig, amps: np.ndarray, born: np.ndarr
                                                        spawn_key=(block_index,)))
     # Fixed draw order: pulses per setting, dark gates per (setting, arm),
     # then the photons.  A gate fires independently of the photons, with
-    # its pulse's setting.
+    # its pulse's setting.  At dark_count_prob = 0 no gate is drawn:
+    # numpy's binomial returns 0 there without touching the generator,
+    # so the stream is the one the draw would leave.
     pulses = rng.multinomial(n_rounds, np.full(n_settings, 1.0 / n_settings))
-    cells = rng.binomial(pulses[:, None], config.dark_count_prob, (n_settings, d))
+    if config.dark_count_prob:
+        cells = rng.binomial(pulses[:, None], config.dark_count_prob, (n_settings, d))
+    else:
+        cells = np.zeros((n_settings, d), dtype=np.int64)
     table = born.reshape(n_settings, d)
     lam = config.mu * config.det_efficiency
     noise = config.phase_noise

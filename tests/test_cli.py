@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mubcert
+from mubcert import cli
 from mubcert.cli import RunManifest, build_parser, main
 from mubcert.counts import CountsTable, write_counts_csv
 from mubcert.linalg import operator_norm, psd_sqrt
@@ -673,6 +674,23 @@ class TestNoOutputOverwritesAnInput:
         assert list(tmp_path.iterdir()) == [config]
 
 
+def test_refuse_overwrite_stats_each_path_once(tmp_path, monkeypatch):
+    # every output exists, so each is compared by device and inode alone
+    paths = [str(tmp_path / name) for name in
+             ("c.csv", "cert.json", "cert.txt", "cert.json.manifest.json")]
+    for path in paths:
+        Path(path).write_text("x\n")
+    stat, seen = os.stat, []
+
+    def counted(path, *args, **kwargs):
+        seen.append(str(path))
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counted)
+    cli._refuse_overwrite(paths[:1], paths[1:])
+    assert sorted(seen) == sorted(paths)
+
+
 class TestReplay:
     def test_byte_identical_outputs(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -709,6 +727,38 @@ class TestReplay:
         capsys.readouterr()
         assert run(["replay", str(manifest)], tmp_path) == 4
         assert "cfg.json" in capsys.readouterr().err
+        assert out.read_bytes() == original
+
+    @pytest.mark.parametrize("recorded", ["table-4", None], ids=["table-4", "unrecorded"])
+    def test_other_sampler_is_refused(self, tmp_path, capsys, recorded):
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--seed", "5", "--rounds", "20000", "--out", "run.csv"],
+                   tmp_path) == 0
+        manifest = tmp_path / "run.csv.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["extra"]["sampler"] == SAMPLER_VERSION
+        if recorded is None:
+            del doc["extra"]["sampler"]
+        else:
+            doc["extra"]["sampler"] = recorded
+        manifest.write_text(json.dumps(doc))
+        data, text = out.read_bytes(), manifest.read_text()
+        capsys.readouterr()
+        assert run(["replay", "run.csv.manifest.json"], tmp_path) == 4
+        err = capsys.readouterr().err
+        assert_one_line_error(err, "data error: cannot replay run.csv.manifest.json: ")
+        assert f"sampler {recorded}," in err and SAMPLER_VERSION in err
+        assert out.read_bytes() == data
+        assert manifest.read_text() == text
+
+    def test_ideal_run_records_no_sampler_and_replays(self, tmp_path):
+        out = tmp_path / "ideal.csv"
+        assert run(["simulate", "--ideal", "--out", "ideal.csv"], tmp_path) == 0
+        doc = json.loads((tmp_path / "ideal.csv.manifest.json").read_text())
+        assert doc["extra"]["mode"] == "ideal" and "sampler" not in doc["extra"]
+        original = out.read_bytes()
+        out.unlink()
+        assert run(["replay", "ideal.csv.manifest.json"], tmp_path) == 0
         assert out.read_bytes() == original
 
     @pytest.mark.parametrize("doc", [
@@ -764,6 +814,139 @@ class TestParserReuse:
         assert run(["replay", "sim.csv.manifest.json"], tmp_path) == 0
         assert sim.read_bytes() == original
         assert build_parser.cache_info().misses == 1
+
+
+TOP_USAGE = "usage: mubcert [-h] [--version] {mub,simulate,certify,figure-data,replay} ...\n"
+SIMULATE_USAGE = (
+    "usage: mubcert simulate [-h] [--config CONFIG] [--seed SEED] [--rounds ROUNDS]\n"
+    "                        [--ideal | --visibility-target VISIBILITY_TARGET]\n"
+    "                        [--out OUT]\n")
+CHOICES = "(choose from 'mub', 'simulate', 'certify', 'figure-data', 'replay')"
+
+# exit code, stdout and stderr of argv shapes whose parsing sends argv to a
+# subcommand's parser or not, as the full parser gave them, at 80 columns
+PINNED_ARGV = [
+    ([], 2,
+     "",
+     TOP_USAGE + 'mubcert: error: the following arguments are required: subcommand\n'),
+    (['--version'], 0,
+     f"mubcert {mubcert.__version__}\n",
+     ""),
+    (['-h'], 0,
+     TOP_USAGE + (
+     '\n'
+     'Simulate and certify the unbiased-basis random access code.\n'
+     '\n'
+     'positional arguments:\n'
+     '  {mub,simulate,certify,figure-data,replay}\n'
+     '    mub                 construct a basis pair and report its metrics\n'
+     '    simulate            run the interferometer Monte Carlo\n'
+     '    certify             compute the certificate from counts or an ASP\n'
+     '    figure-data         emit plot-ready per-state CSVs\n'
+     '    replay              re-run a command from its manifest\n'
+     '\n'
+     'options:\n'
+     '  -h, --help            show this help message and exit\n'
+     "  --version             show program's version number and exit\n"),
+     ""),
+    (['sim'], 2,
+     "",
+     TOP_USAGE + "mubcert: error: argument subcommand: invalid choice: 'sim' " + CHOICES + '\n'),
+    (['bogus', '--x'], 2,
+     "",
+     TOP_USAGE + "mubcert: error: argument subcommand: invalid choice: 'bogus' " + CHOICES + '\n'),
+    (['--', 'simulate'], 2,
+     "",
+     TOP_USAGE + "mubcert: error: argument subcommand: invalid choice: '--' " + CHOICES + '\n'),
+    (['simulate', '--bogus'], 2,
+     "",
+     TOP_USAGE + 'mubcert: error: unrecognized arguments: --bogus\n'),
+    (['simulate', '--version'], 2,
+     "",
+     TOP_USAGE + 'mubcert: error: unrecognized arguments: --version\n'),
+    (['simulate', '--round', '0'], 2,
+     "",
+     SIMULATE_USAGE + 'mubcert simulate: error: argument --rounds: must be an integer >= 1\n'),
+    (['simulate', '--rounds=0'], 2,
+     "",
+     SIMULATE_USAGE + 'mubcert simulate: error: argument --rounds: must be an integer >= 1\n'),
+    (['simulate', '-h'], 0,
+     SIMULATE_USAGE + (
+     '\n'
+     'options:\n'
+     '  -h, --help            show this help message and exit\n'
+     '  --config CONFIG       interferometer config JSON\n'
+     '  --seed SEED           master seed (default: OS entropy, recorded in the\n'
+     '                        manifest)\n'
+     '  --rounds ROUNDS       pulses to simulate (ideal mode: total count mass);\n'
+     '                        default rep_rate * integration_time\n'
+     '  --ideal               bypass source/detector/noise models and emit exact\n'
+     '                        expected counts\n'
+     '  --visibility-target VISIBILITY_TARGET\n'
+     '                        calibrate the drift sigma to this mean fringe\n'
+     '                        visibility\n'
+     '  --out OUT\n'),
+     ""),
+    (['simulate', '--ideal', '--visibility-target', '0.9'], 2,
+     "",
+     SIMULATE_USAGE + (
+     'mubcert simulate: error: argument --visibility-target: not allowed with argument --ideal\n')),
+    (['certify', 'x', 'y'], 2,
+     "",
+     TOP_USAGE + 'mubcert: error: unrecognized arguments: x y\n'),
+    (['replay'], 2,
+     "",
+     (
+     'usage: mubcert replay [-h] manifest\n'
+     'mubcert replay: error: the following arguments are required: manifest\n')),
+    (['replay', 'a', 'b'], 2,
+     "",
+     TOP_USAGE + 'mubcert: error: unrecognized arguments: b\n'),
+    (['mub'], 2,
+     "",
+     (
+     'usage: mubcert mub [-h] --construction {hadamard-d4,fourier} [--d D]\n'
+     '                   [--out OUT]\n'
+     'mubcert mub: error: the following arguments are required: --construction\n')),
+    (['figure-data'], 2,
+     "",
+     (
+     'usage: mubcert figure-data [-h] --counts COUNTS [--out-prefix OUT_PREFIX]\n'
+     'mubcert figure-data: error: the following arguments are required: --counts\n')),
+]
+
+
+class TestArgvDispatch:
+    """argv sent straight to its subcommand's parser reads as it does through the full parser."""
+
+    @pytest.mark.parametrize("argv, code, out, err", PINNED_ARGV,
+                             ids=[" ".join(row[0]) or "no-argument" for row in PINNED_ARGV])
+    def test_pinned_outcome(self, tmp_path, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(argv, tmp_path) == code
+        assert capsys.readouterr() == (out, err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--=x"], ["simulate", "--"], ["simulate", "--", "--x"],
+        ["simulate", "--vers"], ["simulate", "--version=1"], ["simulate", "-hx"],
+        ["simulate", "--he"], ["simulate", "-1"], ["simulate", "--r", "5", "--seed", "2"],
+        ["certify", "-"], ["certify", "--d", "x"], ["mub", "-h", "--bogus"],
+        ["mub", "--construction=fourier", "--d=3", "extra"], ["replay", "--", "-x"],
+        ["replay", "m.json", "--seed"], ["--version", "simulate"], ["-h", "simulate"],
+        ["simulate=1"], ["figure-data", "--counts", "c.csv", "--out-prefix"],
+    ], ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(parse):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert outcome(cli._parse) == outcome(build_parser().parse_args)
 
 
 class TestEntryPoint:

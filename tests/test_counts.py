@@ -86,6 +86,33 @@ def test_document_json_is_stdlib_json(name):
     assert document_json(doc) == json.dumps(listed(doc), indent=2, allow_nan=False)
 
 
+def test_document_json_pads_array_free_parts_by_depth():
+    # array-free parts at several depths next to an array, one of them a
+    # string whose newline the encoder escapes
+    doc = {"pair": {"first": {"dim": 2, "effects": np.array([[0.5, -0.0]])},
+                    "meta": {"runs": [1, {"a": [], "b": {}}], "note": "two\nlines"}},
+           "tail": [[{"x": (1, 2)}], np.array([]), "end"]}
+    listed = {"pair": {"first": {"dim": 2, "effects": [[0.5, -0.0]]},
+                       "meta": {"runs": [1, {"a": [], "b": {}}], "note": "two\nlines"}},
+              "tail": [[{"x": [1, 2]}], [], "end"]}
+    assert document_json(doc) == json.dumps(listed, indent=2)
+
+
+@pytest.mark.parametrize("key", [1, -2.5, True, None, "k"], ids=repr)
+@pytest.mark.parametrize("array", [False, True], ids=["array-free", "with-array"])
+def test_document_json_writes_keys_as_json_dumps(key, array):
+    value = np.array([0.5, 1.0]) if array else [0.5, 1.0]
+    doc = {"outer": {key: value, "x": 1}}
+    assert document_json(doc) == json.dumps({"outer": {key: [0.5, 1.0], "x": 1}}, indent=2)
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["array-free", "with-array"])
+def test_document_json_refuses_keys_json_dumps_refuses(array):
+    value = np.array([0.5]) if array else [0.5]
+    with pytest.raises(TypeError, match="keys must be str"):
+        document_json({"outer": {(1, 2): value}})
+
+
 @pytest.mark.parametrize("doc", [[float("nan")], {"a": np.array([1.0, np.inf])}])
 def test_document_json_refuses_non_finite(doc):
     with pytest.raises(ValueError):

@@ -381,6 +381,51 @@ class TestSimulateCounts:
                     assert np.max(np.abs(emp - probs_exp[i, j, y])) < tol
 
 
+class _DrawnZero(float):
+    """A dark-count probability of 0.0 that reads as true, so _block_counts still draws the gates."""
+
+    def __bool__(self):
+        return True
+
+
+class TestNoDarkDrawAtZero:
+    """At dark_count_prob = 0 no gate is drawn, and the stream is that of the draw."""
+
+    def test_binomial_at_zero_leaves_the_generator_unchanged(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        gates = rng.binomial(np.array([[0], [5], [10**12]]), 0.0, (3, 4))
+        assert gates.dtype == np.int64 and not gates.any()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("noise", [
+        PhaseNoiseConfig(),
+        PhaseNoiseConfig("gaussian_drift", 0.2),
+        PhaseNoiseConfig("random_walk", 0.05),
+    ], ids=lambda noise: noise.model)
+    def test_block_matches_one_that_draws_the_gates(self, monkeypatch, noise):
+        cfg = replace(InterferometerConfig(), det_efficiency=1.0, phase_noise=noise)
+        drawn = replace(cfg)
+        object.__setattr__(drawn, "dark_count_prob", _DrawnZero(0.0))
+        assert drawn.dark_count_prob == 0.0 and drawn.dark_count_prob
+        amps = _arm_amplitudes(cfg.tau)
+        born = expected_outcome_probabilities(cfg)
+        pairs = _pair_table(cfg) if noise.model == "gaussian_drift" else None
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recorded(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        skipped = _block_counts(cfg, amps, born, pairs, 3, 20_000, 11)
+        made = _block_counts(drawn, amps, born, pairs, 3, 20_000, 11)
+        assert skipped.dtype == made.dtype == np.int64
+        assert np.array_equal(skipped, made)
+        assert generators[0].integers(2**62) == generators[1].integers(2**62)
+
+
 class TestBlockRounds:
     """Blocks are whole windows sized by their expected event-path pulses."""
 
